@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, PhysicsError
 from .spectral import EnergySpectrum, QuantumState, evolve
+from .zeroset import TrigSignal, eval_f
 
 
 def normalized_gamma(amplitudes) -> float:
@@ -57,13 +58,14 @@ class CanonicalDensity:
 
 
 def density_at(density: CanonicalDensity, t):
-    """Evaluate p at a scalar or array of times; nonnegative by construction."""
-    t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(1j * np.outer(t_arr.ravel(), density.spectrum.frequencies()))
-    vals = np.abs(phases @ density.amplitudes) ** 2 / density.gamma
-    if t_arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(t_arr.shape)
+    """Evaluate p at a scalar or array of times; nonnegative by construction.
+
+    |sum_j c_j e^{+i w_j t}| = |sum_j conj(c_j) e^{-i w_j t}|, so eval_f and its
+    bounded-memory blocks do the summation.
+    """
+    sig = TrigSignal(density.spectrum.frequencies(), np.conj(density.amplitudes))
+    vals = np.abs(eval_f(sig, t)) ** 2 / density.gamma
+    return float(vals) if np.ndim(t) == 0 else vals
 
 
 def verify_covariance(

@@ -115,11 +115,7 @@ def _claim_iii(spectrum, state, grid, tau_max, epsilons) -> dict:
     tail_report = sublevel_measure(sig, tail_eps, window, base_grid=base_grid)
     tail_fraction = tail_report.measure / window
 
-    panels = max(100, int(grid) // 4)
-    coarse = paley_wiener_integral(sig, window, panels)
-    fine = paley_wiener_integral(sig, window, 2 * panels)
-    rel_change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    converged = bool(rel_change <= PW_STABILITY_TOL)
+    fine, panels, rel_change, converged = paley_wiener_convergence(sig, window, grid)
     return {
         "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and converged),
         "window": window,
@@ -128,7 +124,20 @@ def _claim_iii(spectrum, state, grid, tau_max, epsilons) -> dict:
         "tail_epsilon": tail_eps,
         "tail_fraction": tail_fraction,
         "paley_wiener_value": fine,
-        "paley_wiener_panels": 2 * panels,
+        "paley_wiener_panels": panels,
         "paley_wiener_relative_change": rel_change,
         "paley_wiener_converged": converged,
     }
+
+
+def paley_wiener_convergence(sig: TrigSignal, window: float, grid: int):
+    """Mean |log|f|| at grid // 4 (at least 100) panels and at twice that.
+
+    Returns the fine value, the fine panel count, the relative change between
+    the two, and whether that change is within PW_STABILITY_TOL.
+    """
+    panels = max(100, int(grid) // 4)
+    coarse = paley_wiener_integral(sig, window, panels)
+    fine = paley_wiener_integral(sig, window, 2 * panels)
+    rel_change = abs(fine - coarse) / max(abs(fine), 1e-300)
+    return fine, 2 * panels, rel_change, bool(rel_change <= PW_STABILITY_TOL)

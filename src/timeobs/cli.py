@@ -32,7 +32,7 @@ from .operators import (
 )
 from .rng import random_state
 from .spectral import DEFAULT_CONFIG, EnergySpectrum, QuantumState, build_spectrum
-from .zeroset import TrigSignal, paley_wiener_integral, sublevel_measure
+from .zeroset import TrigSignal, sublevel_measure
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -222,16 +222,8 @@ def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
     serialize.write_csv(
         out_dir / "measure_scaling.csv", ("epsilon", "measure", "error_bound"), rows
     )
-    panels = max(100, config.grid // 4)
-    coarse = paley_wiener_integral(sig, window, panels)
-    fine = paley_wiener_integral(sig, window, 2 * panels)
-    rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    record = {
-        "window": window,
-        "panels": 2 * panels,
-        "value": fine,
-        "converged": bool(rel <= claims_mod.PW_STABILITY_TOL),
-    }
+    fine, panels, _, converged = claims_mod.paley_wiener_convergence(sig, window, config.grid)
+    record = {"window": window, "panels": panels, "value": fine, "converged": converged}
     serialize.write_json(out_dir / "paley_wiener.json", record)
     print(f"wrote {out_dir / 'measure_scaling.csv'} and {out_dir / 'paley_wiener.json'}")
 

@@ -7,7 +7,6 @@ whether the operator's statistics track elapsed time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ from .spectral import (
 )
 
 HERMITICITY_TOL = 1e-13
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_CAP = 10_000
 
 _PROJECTION_FLOOR = 1e-12
 
@@ -129,35 +126,16 @@ def expectation(op: OperatorMatrix, state: QuantumState) -> complex:
     return complex(c.conj() @ op.entries @ c)
 
 
-def spectral_norm(
-    op: OperatorMatrix,
-    tol: float = POWER_ITERATION_TOL,
-    max_iter: int = POWER_ITERATION_CAP,
-) -> float:
-    """Largest singular value via power iteration on A^dagger A.
+def spectral_norm(op: OperatorMatrix) -> float:
+    """2-norm of a Hermitian operator: its largest eigenvalue modulus.
 
-    Uses a fixed chirped start vector so results are deterministic; stops when
-    successive Rayleigh quotients agree to tol or the iteration cap is hit.
+    eigvalsh reads one triangle only, so a non-Hermitian operator is rejected.
     """
-    a = op.entries
-    n = op.basis_size
-    gram = a.conj().T @ a
-    k = np.arange(n, dtype=float)
-    v = np.exp(1j * (0.9 * k + 0.4 * k * k / max(n - 1, 1))) + 0.25
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        new_lam = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return math.sqrt(max(lam, 0.0))
+    if hermiticity_defect(op.entries) > HERMITICITY_TOL:
+        raise DimensionError(
+            f"spectral_norm needs a Hermitian operator, defect above {HERMITICITY_TOL}"
+        )
+    return float(np.max(np.abs(np.linalg.eigvalsh(op.entries))))
 
 
 def covariance_deviation(

@@ -93,16 +93,13 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class PhysicsConfig:
-    """Numeric conventions: hbar plus the tolerances for norm and membership tests."""
+    """Numeric conventions: the tolerance of the zero-sum membership test."""
 
-    hbar: float = 1.0
-    norm_tolerance: float = NORM_TOL
     membership_tolerance: float = MEMBERSHIP_TOL
 
     def __post_init__(self):
-        for name in ("hbar", "norm_tolerance", "membership_tolerance"):
-            if not getattr(self, name) > 0.0:
-                raise PhysicsError(f"{name} must be strictly positive")
+        if not self.membership_tolerance > 0.0:
+            raise PhysicsError("membership_tolerance must be strictly positive")
 
 
 DEFAULT_CONFIG = PhysicsConfig()

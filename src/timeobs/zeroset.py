@@ -31,6 +31,7 @@ DENOMINATOR_CAP = 10**9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_FLOOR = 1e-300  # keeps log finite if a sample lands exactly on a zero
+_BLOCK_ENTRIES = 2**20  # phase entries per eval_f block: 16 MiB of complex128
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,14 @@ class TrigSignal:
 
 
 def eval_f(sig: TrigSignal, t):
-    """Evaluate the sum at a scalar or array of times."""
+    """Evaluate the sum at a scalar or array of times, in bounded-memory blocks."""
     t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.outer(t_arr.ravel(), sig.freqs))
-    vals = phases @ sig.amps
+    flat = t_arr.ravel()
+    vals = np.empty(flat.size, dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // sig.count)
+    for start in range(0, flat.size, rows):
+        phases = np.exp(-1j * np.outer(flat[start:start + rows], sig.freqs))
+        vals[start:start + rows] = phases @ sig.amps
     if t_arr.ndim == 0:
         return complex(vals[0])
     return vals.reshape(t_arr.shape)
@@ -114,37 +119,69 @@ def _cell_count(sig: TrigSignal, window: float, base_grid: int) -> int:
     return max(int(base_grid), nyquist, 8)
 
 
-def _refine_crossing(g, lo: float, hi: float, g_lo: float) -> tuple[float, int]:
-    """Bisect a bracketed sign change of g to BISECTION_TOL in t."""
-    inside_lo = g_lo < 0.0
-    iters = 0
-    while hi - lo > BISECTION_TOL and iters < 80:
-        mid = 0.5 * (lo + hi)
-        if (g(mid) < 0.0) == inside_lo:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi), iters
+def _scan(sig: TrigSignal, window: float, base_grid: int):
+    """Grid over [0, window], |f| on it, and the Lipschitz screen sum|c_j omega_j| * h."""
+    n = _cell_count(sig, window, base_grid)
+    ts = np.linspace(0.0, float(window), n + 1)
+    return ts, np.abs(eval_f(sig, ts)), sig.lipschitz() * (float(window) / n)
 
 
-def _golden_min(fun, a: float, b: float, tol: float = BISECTION_TOL) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    iters = 0
-    while (b - a) > tol and iters < 200:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-        iters += 1
-    return (c, fc) if fc <= fd else (d, fd)
+def _local_minima(v: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
+    """Interior indices i with v[i] <= both neighbours and floor < v[i] < ceiling."""
+    mid = v[1:-1]
+    keep = (mid <= v[:-2]) & (mid <= v[2:]) & (mid > floor) & (mid < ceiling)
+    return np.nonzero(keep)[0] + 1
+
+
+def _golden(sig: TrigSignal, a, b, sign, shift: float):
+    """Golden-section minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
+
+    Each bracket runs the scalar recurrence to BISECTION_TOL (at most 200
+    steps); the open ones share one eval_f call per step.  Returns the
+    minimizers and the signed minimum values.
+    """
+    if a.size == 0:
+        return a, a
+    a, b = a.copy(), b.copy()
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    both = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([c, d]))) - shift)
+    fc, fd = np.split(both, 2)
+    for _ in range(200):
+        live = np.nonzero(b - a > BISECTION_TOL)[0]
+        if live.size == 0:
+            break
+        keep = fc[live] <= fd[live]  # the minimum stays in [a, d]
+        lo, hi = np.where(keep, a[live], c[live]), np.where(keep, d[live], b[live])
+        probe = np.where(keep, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        f_probe = sign[live] * (np.abs(eval_f(sig, probe)) - shift)
+        c[live], d[live], fc[live], fd[live] = (
+            np.where(keep, probe, d[live]),
+            np.where(keep, c[live], probe),
+            np.where(keep, f_probe, fd[live]),
+            np.where(keep, fc[live], f_probe),
+        )
+        a[live], b[live] = lo, hi
+    take_c = fc <= fd
+    return np.where(take_c, c, d), np.where(take_c, fc, fd)
+
+
+def _bisect(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int]:
+    """Crossings of |f| = shift on all brackets [lo, hi] in lockstep, to BISECTION_TOL.
+
+    inside_lo flags brackets whose left end lies in {|f| < shift}; the open ones
+    share one eval_f call per step, for at most 80 steps.  Also returns the step count.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    depth = 0
+    while depth < 80:
+        live = np.nonzero(hi - lo > BISECTION_TOL)[0]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        to_lo = (np.abs(eval_f(sig, mid)) - shift < 0.0) == inside_lo[live]
+        lo[live], hi[live] = np.where(to_lo, mid, lo[live]), np.where(to_lo, hi[live], mid)
+        depth += 1
+    return 0.5 * (lo + hi), depth
 
 
 def sublevel_measure(
@@ -171,65 +208,44 @@ def sublevel_measure(
         )
         return MeasureReport(epsilon, window, window, 0, 0.0)
 
-    n = _cell_count(sig, window, int(base_grid))
-    ts = np.linspace(0.0, float(window), n + 1)
-    gvals = np.abs(eval_f(sig, ts)) - epsilon
-
-    def g(t: float) -> float:
-        return abs(eval_f(sig, t)) - epsilon
-
-    h = float(window) / n
-    margin = sig.lipschitz() * h
+    ts, absf, margin = _scan(sig, window, base_grid)
+    n = ts.size - 1
+    gvals = absf - epsilon
     below = gvals < 0.0
+    cross = np.nonzero(below[:-1] != below[1:])[0]
+
+    dips, rises = _local_minima(gvals, 0.0, margin), _local_minima(-gvals, 0.0, margin)
+    ext = np.concatenate([dips, rises])
+    sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
+    t_ext, v_ext = _golden(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
+    hit = v_ext < 0.0
+    ext, t_ext, g_ext = ext[hit], t_ext[hit], (sign * v_ext)[hit]
+
+    # The right half of a split extremum starts at t_ext: inside for a dip.
+    crossings, depth = _bisect(
+        sig,
+        np.concatenate([ts[cross], ts[ext - 1], t_ext]),
+        np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
+        np.concatenate([below[cross], below[ext - 1], g_ext < 0.0]),
+        epsilon,
+    )
     refined = np.zeros(n, dtype=bool)
-    crossings: list[float] = []
-    depth = 0
-
-    for i in np.nonzero(below[:-1] != below[1:])[0]:
-        t_cross, iters = _refine_crossing(g, float(ts[i]), float(ts[i + 1]), float(gvals[i]))
-        crossings.append(t_cross)
-        refined[i] = True
-        depth = max(depth, iters)
-
-    mid = gvals[1:-1]
-    minima = np.nonzero(
-        (mid <= gvals[:-2]) & (mid <= gvals[2:]) & (mid > 0.0) & (mid < margin)
-    )[0] + 1
-    maxima = np.nonzero(
-        (mid >= gvals[:-2]) & (mid >= gvals[2:]) & (mid < 0.0) & (-mid < margin)
-    )[0] + 1
-    for i in minima:
-        t_ext, g_ext = _golden_min(g, float(ts[i - 1]), float(ts[i + 1]))
-        if g_ext < 0.0:
-            t_left, it_l = _refine_crossing(g, float(ts[i - 1]), t_ext, float(gvals[i - 1]))
-            t_right, it_r = _refine_crossing(g, t_ext, float(ts[i + 1]), g_ext)
-            crossings.extend((t_left, t_right))
-            refined[i - 1] = refined[i] = True
-            depth = max(depth, it_l, it_r)
-    for i in maxima:
-        t_ext, neg_ext = _golden_min(lambda t: -g(t), float(ts[i - 1]), float(ts[i + 1]))
-        if -neg_ext > 0.0:
-            t_left, it_l = _refine_crossing(g, float(ts[i - 1]), t_ext, float(gvals[i - 1]))
-            t_right, it_r = _refine_crossing(g, t_ext, float(ts[i + 1]), -neg_ext)
-            crossings.extend((t_left, t_right))
-            refined[i - 1] = refined[i] = True
-            depth = max(depth, it_l, it_r)
+    refined[cross] = refined[ext - 1] = refined[ext] = True
 
     points = [0.0]
-    for p in sorted(crossings):
+    for p in np.sort(crossings).tolist():
         if p - points[-1] > BISECTION_TOL and p < window:
             points.append(p)
     points.append(float(window))
-    measure = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if b > a and g(0.5 * (a + b)) < 0.0:
-            measure += b - a
-    measure = min(measure, float(window))
+    edges = np.array(points)
+    inside = np.abs(eval_f(sig, 0.5 * (edges[:-1] + edges[1:]))) - epsilon < 0.0
+    measure = min(float(np.sum(np.diff(edges)[inside])), float(window))
 
+    h = float(window) / n
     same_sign = below[:-1] == below[1:]
     small = (np.abs(gvals[:-1]) + np.abs(gvals[1:])) < margin
     suspicious = int(np.sum(same_sign & small & ~refined))
-    error_bound = h * suspicious + BISECTION_TOL * len(crossings)
+    error_bound = h * suspicious + BISECTION_TOL * crossings.size
     return MeasureReport(epsilon, float(window), measure, depth, error_bound)
 
 
@@ -248,31 +264,12 @@ def find_zeros(
     if zero_tol is None:
         zero_tol = 1e-10 * w
 
-    n = _cell_count(sig, window, int(base_grid))
-    ts = np.linspace(0.0, float(window), n + 1)
-    absf = np.abs(eval_f(sig, ts))
-    h = float(window) / n
-    margin = sig.lipschitz() * h
-
-    def fun(t: float) -> float:
-        return abs(eval_f(sig, t))
-
-    candidates: list[tuple[float, float]] = []
-    mid = absf[1:-1]
-    idx = np.nonzero((mid <= absf[:-2]) & (mid <= absf[2:]) & (mid < margin))[0] + 1
-    for i in idx:
-        candidates.append((float(ts[i - 1]), float(ts[i + 1])))
-    if absf[0] < margin and absf[0] <= absf[1]:
-        candidates.append((float(ts[0]), float(ts[1])))
-    if absf[n] < margin and absf[n] <= absf[n - 1]:
-        candidates.append((float(ts[n - 1]), float(ts[n])))
-
-    zeros: list[float] = []
-    for a, b in candidates:
-        t_min, f_min = _golden_min(fun, a, b)
-        if f_min <= zero_tol:
-            zeros.append(min(max(t_min, 0.0), float(window)))
-    zeros.sort()
+    ts, absf, margin = _scan(sig, window, base_grid)
+    # Padding with +inf lets the window ends count as one-sided minima.
+    idx = _local_minima(np.pad(absf, 1, constant_values=np.inf), -np.inf, margin) - 1
+    lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, ts.size - 1)]
+    t_min, f_min = _golden(sig, lo, hi, np.ones(idx.size), 0.0)
+    zeros = np.sort(np.clip(t_min[f_min <= zero_tol], 0.0, float(window))).tolist()
     merge_tol = max(10.0 * BISECTION_TOL, 1e-12 * float(window))
     merged: list[float] = []
     for z in zeros:

@@ -207,6 +207,10 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(OperatorMatrix(np.zeros((3, 3)))) == 0.0
 
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(DimensionError):
+            spectral_norm(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
 
 class TestCovarianceDeviation:
     def test_deviation_zero_at_tau_zero(self, two_level, plus_state):

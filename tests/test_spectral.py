@@ -87,9 +87,9 @@ class TestTypes:
 
     def test_config_positive_fields(self):
         with pytest.raises(PhysicsError):
-            PhysicsConfig(norm_tolerance=0.0)
+            PhysicsConfig(membership_tolerance=0.0)
         cfg = PhysicsConfig()
-        assert cfg.hbar == 1.0 and cfg.membership_tolerance == 1e-10
+        assert cfg.membership_tolerance == 1e-10
 
 
 class TestEvolve:

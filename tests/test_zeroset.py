@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from timeobs import (
     random_state,
     sublevel_measure,
 )
+from timeobs.zeroset import BISECTION_TOL, _bisect, _golden
 
 TWO_PI = 2.0 * math.pi
 CATALAN = 0.915965594177219015054603514932384110774
@@ -75,11 +77,34 @@ class TestSignal:
         rhs = np.sqrt(density.gamma * density_at(density, ts))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_blocked_evaluation_matches_pieces_in_bounded_memory(self):
+        spec = build_spectrum("harmonic", 64, omega=1.0)
+        sig = TrigSignal.from_state(spec, random_state(64, 5))
+        ts = np.linspace(0.0, 40.0, 100_000)
+        tracemalloc.start()
+        try:
+            vals = eval_f(sig, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for piece in np.array_split(np.arange(ts.size), 100):
+            direct = np.exp(-1j * np.outer(ts[piece], sig.freqs)) @ sig.amps
+            np.testing.assert_allclose(vals[piece], direct, rtol=0, atol=1e-12)
+
 
 class TestSublevelMeasure:
-    def test_arcsine_closed_form(self, balanced_signal):
-        report = sublevel_measure(balanced_signal, 0.1, TWO_PI)
-        assert report.measure == pytest.approx(4.0 * math.asin(0.1 / math.sqrt(2.0)), abs=1e-9)
+    # At window 7 the zero at pi falls between grid points, and for the small
+    # thresholds the dip below eps is narrower than one cell: only the
+    # golden-section -> bisection path can find it.
+    @pytest.mark.parametrize(
+        "eps, window",
+        [(0.1, TWO_PI), (1e-4, 7.0), (1e-6, 7.0)],
+        ids=["eps0.1-window2pi", "eps1e-4-window7", "eps1e-6-window7"],
+    )
+    def test_arcsine_closed_form(self, balanced_signal, eps, window):
+        report = sublevel_measure(balanced_signal, eps, window)
+        assert report.measure == pytest.approx(4.0 * math.asin(eps / math.sqrt(2.0)), abs=1e-9)
         assert report.refinement_depth > 0
 
     def test_brute_force_grid_oracle(self, balanced_signal):
@@ -147,6 +172,52 @@ class TestSublevelMeasure:
             MeasureReport(epsilon=0.1, window=1.0, measure=2.0, refinement_depth=0, error_bound=0.0)
         with pytest.raises(PhysicsError):
             MeasureReport(epsilon=0.1, window=1.0, measure=0.5, refinement_depth=0, error_bound=-1.0)
+
+
+def _scalar_golden(fun, a, b):
+    """Reference: the scalar golden-section recurrence each lockstep bracket follows."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(200):
+        if b - a <= BISECTION_TOL:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+class TestLockstepRefiners:
+    def test_golden_matches_scalar_recurrence(self, incommensurate_five):
+        sig, shift = incommensurate_five, 0.3
+        ts = np.linspace(0.0, 20.0, 401)
+        a, b = ts[:-2], ts[2:]
+        sign = np.where(np.arange(a.size) % 2 == 0, 1.0, -1.0)
+        t_min, v_min = _golden(sig, a, b, sign, shift)
+        for k in range(a.size):
+            t_ref, v_ref = _scalar_golden(
+                lambda t: sign[k] * (abs(eval_f(sig, t)) - shift), a[k], b[k]
+            )
+            # Scalar and array evaluations differ in the last bit, which moves
+            # the minimizer of a flat extremum by up to ~sqrt(machine eps).
+            assert t_min[k] == pytest.approx(t_ref, abs=1e-7)
+            assert v_min[k] == pytest.approx(v_ref, abs=1e-14)
+
+    def test_bisection_follows_the_inside_flag(self, balanced_signal):
+        # |f| = sqrt(2)|cos(t/2)| drops below eps on (pi - delta, pi + delta)
+        eps = 0.1
+        delta = 2.0 * math.asin(eps / math.sqrt(2.0))
+        lo = np.array([math.pi - delta - 0.01, math.pi + delta - 0.002])
+        hi = np.array([math.pi - delta + 0.003, math.pi + delta + 0.01])
+        crossings, depth = _bisect(balanced_signal, lo, hi, np.array([False, True]), eps)
+        np.testing.assert_allclose(crossings, [math.pi - delta, math.pi + delta], atol=1e-11)
+        assert 0 < depth <= 80
 
 
 class TestFindZeros:

@@ -10,6 +10,8 @@ threshold, with a finite mean |log|f|| backing the measure-zero signature.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .canonical import verify_covariance
@@ -134,10 +136,20 @@ def paley_wiener_convergence(sig: TrigSignal, window: float, grid: int):
     """Mean |log|f|| at grid // 4 (at least 100) panels and at twice that.
 
     Returns the fine value, the fine panel count, the relative change between
-    the two, and whether that change is within PW_STABILITY_TOL.
+    the two, and whether that change is within PW_STABILITY_TOL with neither
+    integral at its level cap.
     """
     panels = max(100, int(grid) // 4)
-    coarse = paley_wiener_integral(sig, window, panels)
-    fine = paley_wiener_integral(sig, window, 2 * panels)
+    coarse, coarse_ok = _integral_within_cap(sig, window, panels)
+    fine, fine_ok = _integral_within_cap(sig, window, 2 * panels)
     rel_change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    return fine, 2 * panels, rel_change, bool(rel_change <= PW_STABILITY_TOL)
+    converged = rel_change <= PW_STABILITY_TOL and coarse_ok and fine_ok
+    return fine, 2 * panels, rel_change, bool(converged)
+
+
+def _integral_within_cap(sig: TrigSignal, window: float, panels: int) -> tuple[float, bool]:
+    """paley_wiener_integral, and False in place of the RuntimeWarning of a cap hit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        value = paley_wiener_integral(sig, window, panels)
+    return value, not any(issubclass(w.category, RuntimeWarning) for w in caught)

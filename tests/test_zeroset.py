@@ -25,10 +25,48 @@ from timeobs import (
     random_state,
     sublevel_measure,
 )
+from timeobs import zeroset
+from timeobs.claims import paley_wiener_convergence, run_claims
 from timeobs.zeroset import BISECTION_TOL, _bisect, _golden
 
 TWO_PI = 2.0 * math.pi
 CATALAN = 0.915965594177219015054603514932384110774
+
+
+def _structured_signal(kind, n, seed, zero_sum):
+    # Unit base frequency: harmonic omega = 1, box scale = 1, hbar = 1.
+    spec = build_spectrum(kind, n, omega=1.0, scale=1.0)
+    return TrigSignal.from_state(spec, random_state(n, seed, in_zero_sum=zero_sum))
+
+
+def _signal_with_unit_roots():
+    # f(t) = e^{-it/2} P(e^{-it}), P of degree 5 with three roots on |z| = 1
+    roots = np.array([np.exp(0.7j), np.exp(2.1j), np.exp(-2.9j), 0.5, 1.6 * np.exp(1.0j)])
+    coeffs = np.poly(roots)[::-1]
+    return TrigSignal(np.arange(6) + 0.5, coeffs / np.linalg.norm(coeffs))
+
+
+STRUCTURED = {
+    f"{kind}{n}-seed{seed}{'-zerosum' if zero_sum else ''}": (kind, n, seed, zero_sum)
+    for kind, n in (("harmonic", 2), ("harmonic", 6), ("harmonic", 12), ("box", 4), ("box", 6))
+    for seed, zero_sum in ((1, False), (2, True), (3, True))
+}
+
+
+@pytest.fixture(params=[*STRUCTURED, "harmonic6-unit-roots"])
+def structured_signal(request):
+    """Signal whose frequencies are freqs[0] plus integer multiples of 1."""
+    if request.param in STRUCTURED:
+        return _structured_signal(*STRUCTURED[request.param])
+    return _signal_with_unit_roots()
+
+
+def _roots_of_p(sig):
+    """Leading coefficient and roots of P, where f(t) = e^{-i freqs[0] t} P(e^{-it})."""
+    powers = np.rint(sig.freqs - sig.freqs[0]).astype(int)
+    coeffs = np.zeros(powers[-1] + 1, dtype=complex)
+    coeffs[powers] = sig.amps
+    return coeffs[-1], np.roots(coeffs[::-1])
 
 
 @pytest.fixture
@@ -221,6 +259,18 @@ class TestLockstepRefiners:
 
 
 class TestFindZeros:
+    def test_matches_unit_circle_roots(self, structured_signal):
+        # z = e^{-it} is a root of P on |z| = 1 exactly when f vanishes at t.
+        window = 10.0
+        _, roots = _roots_of_p(structured_signal)
+        on_circle = roots[np.abs(np.abs(roots) - 1.0) < 1e-8]
+        t0 = np.mod(-np.angle(on_circle), TWO_PI)
+        times = np.concatenate([t0 - TWO_PI, t0, t0 + TWO_PI])
+        expected = np.sort(np.clip(times[(times > -1e-8) & (times < window + 1e-8)], 0.0, window))
+        zeros = find_zeros(structured_signal, window)
+        assert len(zeros) == expected.size
+        np.testing.assert_allclose(zeros, expected, rtol=0, atol=1e-8)
+
     def test_cosine_zeros(self, balanced_signal):
         zeros = find_zeros(balanced_signal, 3.0 * TWO_PI)
         expected = [math.pi, 3.0 * math.pi, 5.0 * math.pi]
@@ -265,6 +315,30 @@ class TestPaleyWiener:
         # closed form: 2*G/pi with G Catalan's constant
         value = paley_wiener_integral(balanced_signal, TWO_PI, 256)
         assert value == pytest.approx(2.0 * CATALAN / math.pi, abs=1e-6)
+
+    def test_absolute_mean_matches_catalan_form_closely(self, balanced_signal):
+        value = paley_wiener_integral(balanced_signal, TWO_PI, 256)
+        assert value == pytest.approx(2.0 * CATALAN / math.pi, abs=1e-12)
+
+    def test_signed_mean_over_a_period_is_jensen_value(self, structured_signal):
+        # Jensen: the mean of log|P| over |z| = 1 is log|c_lead| + sum_{|r|>1} log|r|.
+        lead, roots = _roots_of_p(structured_signal)
+        mahler = math.log(abs(lead)) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
+        value = paley_wiener_integral(structured_signal, TWO_PI, 256, absolute=False)
+        assert value == pytest.approx(mahler, abs=1e-10)
+
+    def test_level_cap_hit_is_reported(self, monkeypatch, incommensurate_five):
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        psi = random_state(8, 7, in_zero_sum=True)
+        assert run_claims(spec, psi)["claim_iii"]["demonstrated"]
+        monkeypatch.setattr(zeroset, "_MAX_LEVELS", 1)
+        with pytest.warns(RuntimeWarning, match="level cap"):
+            paley_wiener_integral(incommensurate_five, TWO_PI, 200)
+        *_, converged = paley_wiener_convergence(incommensurate_five, TWO_PI, 800)
+        assert not converged
+        claim_iii = run_claims(spec, psi)["claim_iii"]
+        assert not claim_iii["paley_wiener_converged"]
+        assert not claim_iii["demonstrated"]
 
     def test_stable_under_panel_doubling(self, balanced_signal, incommensurate_five):
         for sig in (balanced_signal, incommensurate_five):

@@ -130,8 +130,10 @@ def spectral_norm(op: OperatorMatrix) -> float:
     """2-norm of a Hermitian operator: its largest eigenvalue modulus.
 
     eigvalsh reads one triangle only, so a non-Hermitian operator is rejected.
+    An operator tagged `hermitian` passed that check when it was built, and
+    its entries are read-only, so it is not scanned again.
     """
-    if hermiticity_defect(op.entries) > HERMITICITY_TOL:
+    if not op.hermitian and hermiticity_defect(op.entries) > HERMITICITY_TOL:
         raise DimensionError(
             f"spectral_norm needs a Hermitian operator, defect above {HERMITICITY_TOL}"
         )

@@ -3,6 +3,11 @@
 JSON floats go through Python repr (shortest exact round-trip form); CSV cells
 use 17 significant digits.  Both reparse to the identical double, so emitted
 artifacts re-read into equal in-memory values.
+
+`write_json` is the one JSON writer.  Its output is byte-identical to
+`json.dump(obj, fh, indent=2, sort_keys=True)` plus a newline, and it also
+takes float64 arrays, which it streams row by row, formatting each distinct
+double once.
 """
 
 from __future__ import annotations
@@ -128,14 +133,6 @@ def dump_problem(path, spectrum: EnergySpectrum, state: QuantumState | None = No
     write_json(path, doc)
 
 
-def matrix_to_dict(op: OperatorMatrix) -> dict:
-    return {
-        "n": op.basis_size,
-        "re": [[float(v) for v in row] for row in op.entries.real],
-        "im": [[float(v) for v in row] for row in op.entries.imag],
-    }
-
-
 def matrix_from_dict(doc: dict) -> OperatorMatrix:
     if not isinstance(doc, dict):
         raise SchemaError("matrix: expected an object")
@@ -158,15 +155,98 @@ def load_matrix(path) -> OperatorMatrix:
 
 
 def dump_matrix(path, op: OperatorMatrix) -> None:
-    write_json(path, matrix_to_dict(op))
+    """{"n", "re", "im"} document; reloads through `load_matrix` exactly."""
+    entries = op.entries
+    write_json(path, {"n": op.basis_size, "re": entries.real, "im": entries.imag})
 
 
 def write_json(path, obj) -> None:
+    """Write `obj` as indented JSON with sorted keys and a final newline.
+
+    The bytes equal `json.dump(obj, fh, indent=2, sort_keys=True)` followed by
+    a newline, where a float64 array is written as its `tolist()`.  Such
+    arrays are streamed one row at a time, and each distinct double in them
+    is formatted once.  Other arrays raise `TypeError`, as json does.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(obj, ""))
         fh.write("\n")
+
+
+def _json_chunks(obj, indent: str):
+    """Yield the text of `obj` at nesting `indent`, as json's indent=2 encoder."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        # Bit patterns keep -0.0 apart from 0.0 and make NaN comparable.
+        distinct, index = np.unique(obj.view(np.int64), return_inverse=True)
+        texts = np.array(
+            [_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object
+        )
+        yield from _array_chunks(texts, index.reshape(obj.shape), indent)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            yield sep
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + _key_text(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    else:
+        yield json.dumps(obj)
+
+
+def _array_chunks(texts: np.ndarray, index: np.ndarray, indent: str):
+    """Nested lists of `texts[index]`, one chunk per innermost row."""
+    if index.ndim == 0:
+        yield texts[index]
+        return
+    if index.shape[0] == 0:
+        yield "[]"
+        return
+    inner = indent + "  "
+    if index.ndim == 1:
+        yield "[\n" + inner + (",\n" + inner).join(texts[index].tolist())
+    else:
+        sep = "[\n" + inner
+        for sub in index:
+            yield sep
+            yield from _array_chunks(texts, sub, inner)
+            sep = ",\n" + inner
+    yield "\n" + indent + "]"
+
+
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_SPECIAL_FLOATS.get(text, text)
+
+
+def _key_text(key) -> str:
+    """json's object-key text: str keys quoted, int/float/bool/None coerced."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def dump_series(path, series, header: Sequence[str] = ("tau", "value")) -> None:

@@ -149,6 +149,14 @@ class TestDeterminism:
             assert main(["claims", "-o", str(out), "--grid", "128", "--seed", "11"]) == EXIT_OK
         assert (a / "claims.json").read_bytes() == (b / "claims.json").read_bytes()
 
+    def test_tg_byte_identical(self, tmp_path):
+        problem = _write_problem(tmp_path, n=24, with_state=False)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["tg", "-i", str(problem), "-o", str(out)]) == EXIT_OK
+        for name in ("tg_matrix.json", "tg_diagnostics.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_density_csv_reparses_exactly(self, tmp_path):
         problem = _write_problem(tmp_path)
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,22 @@ from timeobs import (
     random_state,
 )
 from timeobs import serialize
+from timeobs.cli import EXIT_OK, main
+from timeobs.operators import OperatorMatrix
+
+
+def _reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _salted_matrix(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m[0, 0] = complex(math.nan, math.inf)
+    m[1, 2] = complex(-math.inf, -0.0)
+    m[3, 3] = complex(-0.0, 0.0)
+    m[5, 7] = complex(5e-324, -math.nan)
+    return m
 
 
 class TestFormatting:
@@ -107,6 +124,56 @@ class TestProblemDocuments:
             serialize.load_problem(path)
 
 
+class TestWriteJsonByteIdentity:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": [1, 2, (3, 4.5)], "b": {"c": None, "d": True, "e": False}, "f": [[]], "g": {}},
+            ("x", -7, 0, [None, [True, [False]]]),
+            {"quote\"d": "back\\slash \"q\"", "non-ascii é ☃": "Ω\u2028\ttab"},
+            [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e300, -2.5e-10],
+            {"1": "s", "b": 2, "a": 1},
+            {2: "int", 1.5: "float", True: "bool"},
+            {None: "null"},
+            3.25,
+            None,
+        ],
+    )
+    def test_matches_json_dump(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        serialize.write_json(path, doc)
+        assert path.read_text(encoding="utf-8") == _reference_json(doc)
+
+    def test_claims_document(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["claims", "-o", str(out), "--seed", "7"]) == EXIT_OK
+        written = (out / "claims.json").read_text(encoding="utf-8")
+        doc = json.loads(written)
+        path = tmp_path / "again.json"
+        serialize.write_json(path, doc)
+        assert path.read_text(encoding="utf-8") == _reference_json(doc) == written
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (0,), (4,), (3, 0), (0, 3), (2, 3, 2)],
+        ids=["0d", "empty", "4", "3x0", "0x3", "2x3x2"],
+    )
+    def test_float_arrays_match_tolist(self, tmp_path, shape):
+        values = np.random.default_rng(3).standard_normal(shape)
+        if values.size:
+            values.flat[0] = -0.0
+        path = tmp_path / "array.json"
+        serialize.write_json(path, {"a": values})
+        assert path.read_text(encoding="utf-8") == _reference_json({"a": values.tolist()})
+
+    @pytest.mark.parametrize("bad", [np.arange(3), {(1, 2): 0.5}, {"x": object()}])
+    def test_unserializable_raises_type_error(self, tmp_path, bad):
+        with pytest.raises(TypeError):
+            serialize.write_json(tmp_path / "bad.json", bad)
+
+
 class TestMatrixDocuments:
     def test_round_trip_exact(self, tmp_path):
         top = build_time_operator(build_spectrum("box", 6, scale=0.9))
@@ -114,6 +181,33 @@ class TestMatrixDocuments:
         serialize.dump_matrix(path, top)
         back = serialize.load_matrix(path)
         np.testing.assert_array_equal(back.entries, top.entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.zeros((1, 1), dtype=complex),
+            build_time_operator(build_spectrum("box", 2)).entries,
+            build_time_operator(build_spectrum("box", 9, scale=0.3)).entries,
+            _salted_matrix(64, 5),
+        ],
+        ids=["n1", "box2", "box9", "salted64"],
+    )
+    def test_dump_matches_json_dump(self, tmp_path, entries):
+        path = tmp_path / "matrix.json"
+        serialize.dump_matrix(path, OperatorMatrix(entries))
+        doc = {"n": entries.shape[0], "re": entries.real.tolist(), "im": entries.imag.tolist()}
+        assert path.read_text(encoding="utf-8") == _reference_json(doc)
+
+    def test_dump_memory_stays_near_matrix_size(self, tmp_path):
+        # Whole-matrix Python lists would take about 4x the entries' bytes.
+        top = build_time_operator(build_spectrum("harmonic", 512))
+        tracemalloc.start()
+        try:
+            serialize.dump_matrix(tmp_path / "matrix.json", top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * top.entries.nbytes
 
     def test_shape_validation(self):
         with pytest.raises(SchemaError):

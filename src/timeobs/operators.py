@@ -18,6 +18,7 @@ from .spectral import (
     QuantumState,
     coefficient_sum,
 )
+from .zeroset import TrigSignal, eval_f
 
 HERMITICITY_TOL = 1e-13
 
@@ -181,11 +182,7 @@ def membership_decay(
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise DimensionError("time grid must be a nonempty vector")
-    if state.size != spectrum.size:
-        raise DimensionError("state length does not match spectrum length")
-    phases = np.exp(-1j * np.outer(taus, spectrum.frequencies()))
-    sums = phases @ state.coeffs
-    return DeviationSeries(taus, np.abs(sums))
+    return DeviationSeries(taus, np.abs(eval_f(TrigSignal.from_state(spectrum, state), taus)))
 
 
 def project_to_zero_sum(state: QuantumState) -> QuantumState:

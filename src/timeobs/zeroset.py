@@ -8,8 +8,12 @@ which is what forces the zero set to have measure zero), and constructs
 commensurate (periodic) approximants with a guaranteed sup-norm bound.
 
 Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
-The mean-log integral is lockstep adaptive Gauss-Legendre quadrature with the
-zeros as panel edges and each zero's log singularity integrated in closed form.
+The scan evaluates f on a uniform grid as one product of two phase tables; a
+grid extremum is refined only when the chord-curvature screen (the distance
+from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
+|f| reach the threshold in its cells.  The mean-log integral is lockstep
+adaptive Gauss-Legendre quadrature with the zeros as panel edges and each
+zero's log singularity integrated in closed form.
 """
 
 from __future__ import annotations
@@ -126,17 +130,46 @@ def _cell_count(sig: TrigSignal, window: float, base_grid: int) -> int:
     return max(int(base_grid), nyquist, 8)
 
 
+def _scan_rounding(sig: TrigSignal, window: float) -> float:
+    """Bound on the phase and summation errors of one _scan value and one eval_f value."""
+    return 8.0 * np.finfo(float).eps * (float(window) * sig.lipschitz() + sig.count * sig.weight())
+
+
 def _scan(sig: TrigSignal, window: float, base_grid: int):
-    """Grid over [0, window], |f| on it, and the Lipschitz screen sum|c_j omega_j| * h."""
+    """Grid over [0, window], complex f on it, and the chord screen.
+
+    With t_k = (q*b + r) h and b about sqrt(n), e^{-i omega t_k} factors into
+    e^{-i omega q b h} e^{-i omega r h}, so the grid is one (rows, N) @ (N, b)
+    product at O(sqrt(n) N) exponentials.  On a cell, |f| is at least the
+    distance from 0 to the chord [f_k, f_{k+1}] minus the screen: the linear
+    interpolation error of f is at most sum|c_j| omega_j^2 h^2 / 8, because its
+    Peano kernel has one sign (so the bound holds for complex f), plus a
+    rounding term that covers the error of this product and of eval_f.
+    """
+    window = float(window)
     n = _cell_count(sig, window, base_grid)
-    ts = np.linspace(0.0, float(window), n + 1)
-    return ts, np.abs(eval_f(sig, ts)), sig.lipschitz() * (float(window) / n)
+    h = window / n
+    b = math.isqrt(n) + 1
+    rows = -(-(n + 1) // b)
+    outer = np.exp(-1j * np.outer(np.arange(rows) * (b * h), sig.freqs)) * sig.amps
+    inner = np.exp(-1j * np.outer(sig.freqs, np.arange(b) * h))
+    values = (outer @ inner).ravel()[: n + 1]
+    curvature = float(np.abs(sig.amps) @ sig.freqs**2) * h * h / 8.0
+    return np.linspace(0.0, window, n + 1), values, curvature + _scan_rounding(sig, window)
 
 
-def _local_minima(v: np.ndarray, floor: float, ceiling: float) -> np.ndarray:
-    """Interior indices i with v[i] <= both neighbours and floor < v[i] < ceiling."""
+def _chord_distance(f: np.ndarray) -> np.ndarray:
+    """Distance from 0 to each chord [f_k, f_{k+1}] in the complex plane."""
+    a, d = f[:-1], np.diff(f)
+    d2 = d.real**2 + d.imag**2
+    s = np.divide(-(a.real * d.real + a.imag * d.imag), d2, out=np.zeros_like(d2), where=d2 > 0.0)
+    return np.abs(a + np.clip(s, 0.0, 1.0) * d)
+
+
+def _local_minima(v: np.ndarray, floor: float) -> np.ndarray:
+    """Interior indices i with v[i] <= both neighbours and v[i] > floor."""
     mid = v[1:-1]
-    keep = (mid <= v[:-2]) & (mid <= v[2:]) & (mid > floor) & (mid < ceiling)
+    keep = (mid <= v[:-2]) & (mid <= v[2:]) & (mid > floor)
     return np.nonzero(keep)[0] + 1
 
 
@@ -197,10 +230,12 @@ def sublevel_measure(
     """Measure of {t in [0, window] : |f(t)| < epsilon}.
 
     Uniform sampling detects sign changes of |f| - epsilon, each refined by
-    bisection to 1e-12 in t; grid-scale local extrema that could hide a dip
-    (or rise) are promoted to golden-section refinement first.  The error
-    bound is the cell width times the count of cells that passed the
-    Lipschitz screen but produced no refined feature.
+    bisection to 1e-12 in t.  A grid minimum above epsilon is promoted to
+    golden-section refinement when a chord next to it comes within the screen
+    of epsilon, and a grid maximum below epsilon when it lies within the
+    screen of epsilon (|chord| is convex, so its cell maxima sit at nodes).
+    The error bound is the cell width times the count of cells that passed
+    the chord screen but produced no refined feature.
     """
     if not epsilon > 0.0:
         raise PhysicsError("epsilon must be positive")
@@ -215,13 +250,19 @@ def sublevel_measure(
         )
         return MeasureReport(epsilon, window, window, 0, 0.0)
 
-    ts, absf, margin = _scan(sig, window, base_grid)
+    ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
+    absf = np.abs(fs)
     gvals = absf - epsilon
     below = gvals < 0.0
     cross = np.nonzero(below[:-1] != below[1:])[0]
+    # Cells on which |f| may pass below epsilon, or reach it.
+    may_dip = _chord_distance(fs) - screen < epsilon
+    may_rise = epsilon - np.maximum(absf[:-1], absf[1:]) < screen
 
-    dips, rises = _local_minima(gvals, 0.0, margin), _local_minima(-gvals, 0.0, margin)
+    dips, rises = _local_minima(gvals, 0.0), _local_minima(-gvals, 0.0)
+    dips = dips[may_dip[dips - 1] | may_dip[dips]]
+    rises = rises[may_rise[rises - 1] | may_rise[rises]]
     ext = np.concatenate([dips, rises])
     sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
     t_ext, v_ext = _golden(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
@@ -250,8 +291,7 @@ def sublevel_measure(
 
     h = float(window) / n
     same_sign = below[:-1] == below[1:]
-    small = (np.abs(gvals[:-1]) + np.abs(gvals[1:])) < margin
-    suspicious = int(np.sum(same_sign & small & ~refined))
+    suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
     error_bound = h * suspicious + BISECTION_TOL * crossings.size
     return MeasureReport(epsilon, float(window), measure, depth, error_bound)
 
@@ -267,7 +307,11 @@ def find_zeros(
     base_grid: int = 4096,
     zero_tol: float | None = None,
 ) -> list[float]:
-    """Times in [0, window] where |f| vanishes, by refining grid-scale minima."""
+    """Times in [0, window] where |f| vanishes, by refining grid-scale minima.
+
+    A grid minimum is refined by golden section only when the chord screen
+    lets |f| fall to zero_tol on one of its cells.
+    """
     if not window > 0.0:
         raise PhysicsError("window must be positive")
     w = sig.weight()
@@ -276,11 +320,16 @@ def find_zeros(
     if zero_tol is None:
         zero_tol = 1e-10 * w
 
-    ts, absf, margin = _scan(sig, window, base_grid)
+    ts, fs, screen = _scan(sig, window, base_grid)
+    n = ts.size - 1
     # Padding with +inf lets the window ends count as one-sided minima.
-    idx = _local_minima(np.pad(absf, 1, constant_values=np.inf), -np.inf, margin) - 1
-    lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, ts.size - 1)]
-    t_min, f_min = _golden(sig, lo, hi, np.ones(idx.size), 0.0)
+    idx = _local_minima(np.pad(np.abs(fs), 1, constant_values=np.inf), -np.inf) - 1
+    lo, hi = np.maximum(idx - 1, 0), np.minimum(idx + 1, n)
+    floor = _chord_distance(fs) - screen
+    # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
+    keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_tol
+    lo, hi = lo[keep], hi[keep]
+    t_min, f_min = _golden(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
     zeros = np.sort(np.clip(t_min[f_min <= zero_tol], 0.0, float(window))).tolist()
     merged: list[float] = []
     for z in zeros:

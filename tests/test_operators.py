@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ class TestMembershipDecay:
         series = membership_decay(two_level, minus_state, taus)
         sig = TrigSignal.from_state(two_level, minus_state)
         np.testing.assert_allclose(series.values, np.abs(eval_f(sig, taus)), atol=1e-14)
+
+    def test_long_grid_in_bounded_memory(self):
+        spec = build_spectrum("harmonic", 64, omega=1.0)
+        psi = random_state(64, 5, in_zero_sum=True)
+        taus = np.linspace(0.0, 40.0, 100_000)
+        tracemalloc.start()
+        try:
+            series = membership_decay(spec, psi, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for piece in np.array_split(np.arange(taus.size), 100):
+            direct = np.exp(-1j * np.outer(taus[piece], spec.frequencies())) @ psi.coeffs
+            np.testing.assert_allclose(series.values[piece], np.abs(direct), rtol=0, atol=1e-12)
 
     def test_requires_zero_sum_input(self, two_level, plus_state):
         with pytest.raises(MembershipError):

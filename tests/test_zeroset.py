@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timeobs import (
     ApproximationError,
@@ -27,7 +29,14 @@ from timeobs import (
 )
 from timeobs import zeroset
 from timeobs.claims import paley_wiener_convergence, run_claims
-from timeobs.zeroset import BISECTION_TOL, _bisect, _golden
+from timeobs.zeroset import (
+    BISECTION_TOL,
+    _bisect,
+    _chord_distance,
+    _golden,
+    _scan,
+    _scan_rounding,
+)
 
 TWO_PI = 2.0 * math.pi
 CATALAN = 0.915965594177219015054603514932384110774
@@ -67,6 +76,12 @@ def _roots_of_p(sig):
     coeffs = np.zeros(powers[-1] + 1, dtype=complex)
     coeffs[powers] = sig.amps
     return coeffs[-1], np.roots(coeffs[::-1])
+
+
+def _random_signal(seed, n):
+    """Incommensurate signal: n random frequencies in (-40, 40) and a random unit state."""
+    freqs = np.sort(np.random.default_rng(seed).uniform(-40.0, 40.0, n))
+    return TrigSignal(freqs, random_state(n, seed).coeffs)
 
 
 @pytest.fixture
@@ -129,6 +144,67 @@ class TestSignal:
         for piece in np.array_split(np.arange(ts.size), 100):
             direct = np.exp(-1j * np.outer(ts[piece], sig.freqs)) @ sig.amps
             np.testing.assert_allclose(vals[piece], direct, rtol=0, atol=1e-12)
+
+
+SCAN_CASES = {
+    # (kind or "random", N, seed, window, stride between compared grid points)
+    "harmonic64": ("harmonic", 64, 5, 10.0, 1),
+    "box32": ("box", 32, 7, 10.0, 1),
+    "box256-sampled": ("box", 256, 7, 10.0, 97),
+    "incommensurate12": ("random", 12, 3, 17.0, 1),
+}
+
+
+class TestScan:
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_grid_matches_eval_f_within_rounding(self, case):
+        kind, n, seed, window, stride = SCAN_CASES[case]
+        if kind == "random":
+            sig = _random_signal(seed, n)
+        else:
+            sig = _structured_signal(kind, n, seed, False)
+        ts, fs, _ = _scan(sig, window, 1000)
+        pick = np.unique(np.append(np.arange(0, ts.size, stride), ts.size - 1))
+        err = float(np.max(np.abs(fs[pick] - eval_f(sig, ts[pick]))))
+        assert err <= _scan_rounding(sig, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        window=st.floats(0.5, 20.0),
+    )
+    def test_grid_matches_eval_f_on_random_spectra(self, seed, n, window):
+        sig = _random_signal(seed, n)
+        ts, fs, _ = _scan(sig, window, 1000)
+        assert np.max(np.abs(fs - eval_f(sig, ts))) <= _scan_rounding(sig, window)
+
+    # A single tone has constant |f|, and its chords fall short of the circle by
+    # exactly |c| omega^2 h^2 / 8 to leading order: the screen is tight there.
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), window=st.floats(0.5, 10.0))
+    @example(seed=0, n=1, window=5.0)
+    def test_chord_screen_bounds_f_between_nodes(self, seed, n, window):
+        sig = _random_signal(seed, n)
+        ts, fs, screen = _scan(sig, window, 1000)
+        sub = ts[:-1, None] + np.linspace(0.0, 1.0, 65) * np.diff(ts)[:, None]
+        absf = np.abs(eval_f(sig, sub))
+        assert np.all(absf.min(axis=1) >= _chord_distance(fs) - screen)
+        node_max = np.maximum(np.abs(fs[:-1]), np.abs(fs[1:]))
+        assert np.all(absf.max(axis=1) <= node_max + screen)
+
+    def test_cancellation_between_nodes_is_found(self):
+        # |f| = sqrt(2)|sin((t - pi/2)/2)|: its zero pi/2 sits mid-cell on the
+        # 1000-cell grid, and every node lies far above eps.
+        sig = TrigSignal(np.array([3.0, 4.0]), np.array([1.0, -1.0j]) / math.sqrt(2.0))
+        window, eps = 0.5 * math.pi * 1000 / 600.5, 1e-5
+        ts = np.linspace(0.0, window, 1001)
+        assert np.min(np.abs(eval_f(sig, ts))) > 50.0 * eps
+        report = sublevel_measure(sig, eps, window, base_grid=1000)
+        assert report.measure == pytest.approx(4.0 * math.asin(eps / math.sqrt(2.0)), abs=1e-9)
+        zeros = find_zeros(sig, window, base_grid=1000)
+        assert len(zeros) == 1
+        assert zeros[0] == pytest.approx(0.5 * math.pi, abs=1e-9)
 
 
 class TestSublevelMeasure:

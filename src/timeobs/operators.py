@@ -98,12 +98,30 @@ def build_hamiltonian(spectrum: EnergySpectrum) -> OperatorMatrix:
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """[A, B] = AB - BA."""
+    """[A, B] = AB - BA.
+
+    A diagonal operand scales rows and columns, so the commutator is then
+    computed entrywise in O(N^2): [A, D]_jk = A_jk d_k - d_j A_jk. That is
+    bit-identical to the dense products whenever one operand is real (the
+    Hamiltonian is); a fused multiply-add in the dense product can otherwise
+    move the last bit.
+    """
     if a.basis_size != b.basis_size:
         raise DimensionError(
             f"commutator needs equal sizes, got {a.basis_size} and {b.basis_size}"
         )
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries)
+    x, y = a.entries, b.entries
+    if _is_diagonal(y):
+        d = np.diagonal(y)
+        return OperatorMatrix(x * d - d[:, None] * x)
+    if _is_diagonal(x):
+        d = np.diagonal(x)
+        return OperatorMatrix(d[:, None] * y - y * d)
+    return OperatorMatrix(x @ y - y @ x)
+
+
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
 def weak_commutator(spectrum: EnergySpectrum) -> OperatorMatrix:
@@ -128,16 +146,23 @@ def expectation(op: OperatorMatrix, state: QuantumState) -> complex:
 
 
 def spectral_norm(op: OperatorMatrix) -> float:
-    """2-norm of a Hermitian operator: its largest eigenvalue modulus.
+    """2-norm of a Hermitian operator.
 
     eigvalsh reads one triangle only, so a non-Hermitian operator is rejected.
     An operator tagged `hermitian` passed that check when it was built, and
     its entries are read-only, so it is not scanned again.
+
+    A purely imaginary Hermitian operator, such as the time operator, is i*K
+    with K real antisymmetric, so its norm is sqrt(lambda_max(K^T K)) in real
+    arithmetic. Any other operator is max|eigvalsh(op)|.
     """
     if not op.hermitian and hermiticity_defect(op.entries) > HERMITICITY_TOL:
         raise DimensionError(
             f"spectral_norm needs a Hermitian operator, defect above {HERMITICITY_TOL}"
         )
+    if not np.any(op.entries.real):
+        k = op.entries.imag
+        return float(np.sqrt(np.linalg.eigvalsh(k.T @ k)[-1]))
     return float(np.max(np.abs(np.linalg.eigvalsh(op.entries))))
 
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from timeobs import build_spectrum, hermiticity_defect, random_state
+from timeobs import (
+    build_hamiltonian,
+    build_spectrum,
+    build_time_operator,
+    hermiticity_defect,
+    random_state,
+    weak_commutator,
+)
 from timeobs import serialize
 from timeobs.cli import EXIT_OK, EXIT_PARSE, EXIT_PHYSICS, main
 
@@ -28,6 +35,20 @@ class TestHappyPaths:
         assert diag["basis_size"] == 4
         assert diag["max_weak_defect"] <= 1e-12
         assert diag["max_diagonal_entry"] <= 1e-13
+
+    def test_tg_commutator_diagnostics_match_dense_reference(self, tmp_path):
+        problem = _write_problem(tmp_path, n=64, with_state=False)
+        out = tmp_path / "out"
+        assert main(["tg", "-i", str(problem), "-o", str(out)]) == EXIT_OK
+        diag = json.loads((out / "tg_diagnostics.json").read_text())
+        spec, _ = serialize.load_problem(problem)
+        top = build_time_operator(spec).entries
+        ham = build_hamiltonian(spec).entries
+        dense = top @ ham - ham @ top
+        assert diag["max_weak_defect"] == float(
+            np.max(np.abs(dense - weak_commutator(spec).entries))
+        )
+        assert diag["max_diagonal_entry"] == float(np.max(np.abs(np.diag(dense))))
 
     def test_canonical_density_and_covariance(self, tmp_path):
         problem = _write_problem(tmp_path)

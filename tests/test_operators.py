@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from timeobs import (
     DeviationSeries,
@@ -117,6 +119,70 @@ class TestCommutator:
                 build_hamiltonian(build_spectrum("box", 3)),
             )
 
+    @staticmethod
+    def _assert_dense_bits(x, y):
+        got = commutator(OperatorMatrix(x), OperatorMatrix(y)).entries
+        assert np.array_equal(got, x @ y - y @ x)
+
+    def test_diagonal_path_bit_identical_real_diagonal(self):
+        rng = np.random.default_rng(5)
+        dense = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        diag = np.diag(rng.normal(size=40)).astype(complex)
+        self._assert_dense_bits(dense, diag)
+        self._assert_dense_bits(diag, dense)
+
+    def test_diagonal_path_bit_identical_complex_diagonal(self):
+        rng = np.random.default_rng(6)
+        real_dense = rng.normal(size=(30, 30)).astype(complex)
+        diag = np.diag(rng.normal(size=30) + 1j * rng.normal(size=30))
+        self._assert_dense_bits(real_dense, diag)
+        self._assert_dense_bits(diag, real_dense)
+
+    def test_diagonal_path_complex_operands_within_rounding(self):
+        # With both operands complex the dense product may fuse a multiply-add,
+        # so only the last bit of each product part may differ.
+        rng = np.random.default_rng(7)
+        dense = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        d = rng.normal(size=30) + 1j * rng.normal(size=30)
+        got = commutator(OperatorMatrix(dense), OperatorMatrix(np.diag(d))).entries
+        scale = np.abs(dense) * (np.abs(d)[None, :] + np.abs(d)[:, None])
+        assert np.all(np.abs(got - (dense @ np.diag(d) - np.diag(d) @ dense)) <= 4e-16 * scale)
+
+    def test_two_diagonal_operands(self):
+        rng = np.random.default_rng(8)
+        x = np.diag(rng.normal(size=12) + 1j * rng.normal(size=12))
+        y = np.diag(rng.normal(size=12)).astype(complex)
+        for first, second in ((x, y), (y, x), (y, 2.0 * y)):
+            self._assert_dense_bits(first, second)
+            assert not np.any(commutator(OperatorMatrix(first), OperatorMatrix(second)).entries)
+
+    def test_one_by_one_operands(self):
+        self._assert_dense_bits(np.array([[2.0 - 1.5j]]), np.array([[0.25 + 3.0j]]))
+
+    def test_diagonal_operand_with_zero_entry(self):
+        rng = np.random.default_rng(9)
+        dense = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        d = rng.normal(size=16)
+        d[[0, 7]] = 0.0
+        diag = np.diag(d).astype(complex)
+        self._assert_dense_bits(dense, diag)
+        self._assert_dense_bits(diag, dense)
+
+    def test_zero_diagonal_non_diagonal_operand_stays_dense(self):
+        # Same nonzero count as a diagonal matrix, but off the diagonal.
+        rng = np.random.default_rng(10)
+        shift = np.roll(np.eye(8), 1, axis=1) * (1.0 + rng.normal(size=8))
+        dense = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        self._assert_dense_bits(dense, shift.astype(complex))
+        self._assert_dense_bits(shift.astype(complex), dense)
+
+    @pytest.mark.parametrize("n", (2, 17, 64))
+    def test_time_operator_with_hamiltonian_bit_identical(self, n):
+        for spec in _spectra(n):
+            self._assert_dense_bits(
+                build_time_operator(spec).entries, build_hamiltonian(spec).entries
+            )
+
 
 class TestWeakCommutator:
     def test_three_level_entries(self):
@@ -211,6 +277,84 @@ class TestSpectralNorm:
     def test_non_hermitian_rejected(self):
         with pytest.raises(DimensionError):
             spectral_norm(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64, 128, 256))
+    def test_matches_svd_norm_to_1e12(self, n):
+        for spec in _spectra(n):
+            top = build_time_operator(spec)
+            oracle = float(np.linalg.norm(top.entries, 2))
+            assert abs(spectral_norm(top) - oracle) <= 1e-12 * oracle
+
+    def test_imaginary_non_hermitian_rejected(self):
+        with pytest.raises(DimensionError):
+            spectral_norm(OperatorMatrix(1j * np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    def test_hermitian_with_real_part(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 9, 40):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = z + z.conj().T
+            oracle = float(np.linalg.norm(h, 2))
+            assert abs(spectral_norm(OperatorMatrix(h)) - oracle) <= 1e-12 * oracle
+            real_symmetric = h.real.astype(complex)
+            oracle = float(np.linalg.norm(real_symmetric, 2))
+            assert abs(spectral_norm(OperatorMatrix(real_symmetric)) - oracle) <= 1e-12 * oracle
+
+
+class TestNormOracles:
+    """Exact bounds on ||T|| that hold without any numerical reference.
+
+    On a harmonic spectrum with omega = 1, T_N is i times the N-section of the
+    Toeplitz matrix 1/(j - k): Cauchy interlacing makes ||T_N|| nondecreasing
+    in N, Hilbert's inequality keeps it below pi, and Szego's theorem sends it
+    to pi. For any spectrum with smallest gap delta, Montgomery and Vaughan
+    give ||T|| <= pi * hbar / delta.
+    """
+
+    @staticmethod
+    def _harmonic_norm(n):
+        return spectral_norm(build_time_operator(build_spectrum("harmonic", n, omega=1.0)))
+
+    def test_toeplitz_sections_nondecreasing_below_pi(self):
+        # every section up to 128, then every 8th up to 512 (all of them take ~7 s)
+        sizes = [*range(2, 129), *range(136, 513, 8)]
+        norms = np.array([self._harmonic_norm(n) for n in sizes])
+        assert np.all(np.diff(norms) >= 0.0)
+        assert np.all(norms < math.pi)
+
+    @pytest.mark.parametrize(("n", "gap"), ((64, 0.14), (256, 0.04)))
+    def test_szego_approach_to_pi(self, n, gap):
+        assert 0.0 < math.pi - self._harmonic_norm(n) <= gap
+
+    @staticmethod
+    def _montgomery_vaughan_holds(spec):
+        top = build_time_operator(spec)
+        norm = spectral_norm(top)
+        oracle = float(np.linalg.norm(top.entries, 2))
+        assert abs(norm - oracle) <= 1e-12 * oracle
+        return norm <= math.pi * spec.hbar / float(np.min(np.diff(spec.levels)))
+
+    @pytest.mark.parametrize("n", (2, 8, 64, 256))
+    def test_montgomery_vaughan_structured(self, n):
+        for spec in (
+            build_spectrum("harmonic", n, omega=1.0),
+            build_spectrum("harmonic", n, omega=0.37, hbar=2.5),
+            build_spectrum("box", n, scale=1.0),
+            build_spectrum("box", n, scale=0.05, hbar=0.5),
+        ):
+            assert self._montgomery_vaughan_holds(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=48),
+        offset=st.floats(-50.0, 50.0),
+        hbar=st.floats(0.1, 5.0),
+    )
+    def test_montgomery_vaughan_custom(self, gaps, offset, hbar):
+        levels = offset + np.concatenate(([0.0], np.cumsum(gaps)))
+        assume(np.all(np.diff(levels) > 0.0))
+        spec = build_spectrum("custom", levels.size, levels=levels, hbar=hbar)
+        assert self._montgomery_vaughan_holds(spec)
 
 
 class TestCovarianceDeviation:

@@ -69,9 +69,8 @@ def _claim_i(spectrum, state, grid, tau_max) -> dict:
     top = build_time_operator(spectrum)
     norm = spectral_norm(top)
     tau_probe = 4.0 * norm
-    taus = np.linspace(0.0, tau_probe, grid)
-    series = covariance_deviation(spectrum, state, taus)
-    deviation = float(series.values[-1])
+    series = covariance_deviation(spectrum, state, np.array([tau_probe]))
+    deviation = float(series.values[0])
     threshold = 2.0 * norm
 
     canonical_tau = 0.5 * tau_max

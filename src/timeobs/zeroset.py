@@ -13,7 +13,9 @@ grid extremum is refined only when the chord-curvature screen (the distance
 from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
 |f| reach the threshold in its cells.  The mean-log integral is lockstep
 adaptive Gauss-Legendre quadrature with the zeros as panel edges and each
-zero's log singularity integrated in closed form.
+zero's log singularity integrated in closed form.  Its nodes share the scan's
+phase-table product: the panels of one width sample f at the same offsets
+from their left ends.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ DENOMINATOR_CAP = 10**9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_FLOOR = 1e-300  # keeps log finite if a sample lands exactly on a zero
 _MAX_LEVELS = 40  # halvings of a Paley-Wiener panel before the level cap
-_PANEL_BLOCK = 2**12  # Paley-Wiener panels per eval_f call: 147 k nodes
-_BLOCK_ENTRIES = 2**20  # phase entries per eval_f block: 16 MiB of complex128
+_PANEL_BLOCK = 2**12  # Paley-Wiener panels per _panel_rules call: 147 k nodes
+_BLOCK_ENTRIES = 2**20  # phase entries per eval_f or _phase_product block: 16 MiB
 
 
 @dataclass(frozen=True)
@@ -135,25 +137,41 @@ def _scan_rounding(sig: TrigSignal, window: float) -> float:
     return 8.0 * np.finfo(float).eps * (float(window) * sig.lipschitz() + sig.count * sig.weight())
 
 
+def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """f(starts[i] + offsets[j]) as one (starts, offsets) table.
+
+    e^{-i omega (s + o)} = e^{-i omega s} e^{-i omega o}, so the table is
+    (amps * e^{-i omega s}) (rows, N) @ e^{-i omega o} (N, offsets): (rows +
+    offsets) N exponentials and one product, in row blocks of _BLOCK_ENTRIES
+    phase entries.  Its error is bounded by _scan_rounding.
+    """
+    inner = np.exp(-1j * np.outer(sig.freqs, offsets))
+    table = np.empty((starts.size, offsets.size), dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // sig.count)
+    for start in range(0, starts.size, rows):
+        outer = np.exp(-1j * np.outer(starts[start:start + rows], sig.freqs)) * sig.amps
+        table[start:start + rows] = outer @ inner
+    return table
+
+
 def _scan(sig: TrigSignal, window: float, base_grid: int):
     """Grid over [0, window], complex f on it, and the chord screen.
 
     With t_k = (q*b + r) h and b about sqrt(n), e^{-i omega t_k} factors into
-    e^{-i omega q b h} e^{-i omega r h}, so the grid is one (rows, N) @ (N, b)
-    product at O(sqrt(n) N) exponentials.  On a cell, |f| is at least the
-    distance from 0 to the chord [f_k, f_{k+1}] minus the screen: the linear
-    interpolation error of f is at most sum|c_j| omega_j^2 h^2 / 8, because its
-    Peano kernel has one sign (so the bound holds for complex f), plus a
-    rounding term that covers the error of this product and of eval_f.
+    e^{-i omega q b h} e^{-i omega r h}, so the grid is one _phase_product with
+    about sqrt(n) starts and offsets, at O(sqrt(n) N) exponentials.  On a
+    cell, |f| is at least the distance from 0 to the chord [f_k, f_{k+1}]
+    minus the screen: the linear interpolation error of f is at most
+    sum|c_j| omega_j^2 h^2 / 8, because its Peano kernel has one sign (so the
+    bound holds for complex f), plus a rounding term that covers the error of
+    this product and of eval_f.
     """
     window = float(window)
     n = _cell_count(sig, window, base_grid)
     h = window / n
     b = math.isqrt(n) + 1
     rows = -(-(n + 1) // b)
-    outer = np.exp(-1j * np.outer(np.arange(rows) * (b * h), sig.freqs)) * sig.amps
-    inner = np.exp(-1j * np.outer(sig.freqs, np.arange(b) * h))
-    values = (outer @ inner).ravel()[: n + 1]
+    values = _phase_product(sig, np.arange(rows) * (b * h), np.arange(b) * h).ravel()[: n + 1]
     curvature = float(np.abs(sig.amps) @ sig.freqs**2) * h * h / 8.0
     return np.linspace(0.0, window, n + 1), values, curvature + _scan_rounding(sig, window)
 
@@ -355,18 +373,30 @@ def _panel_rules(sig: TrigSignal, rows: np.ndarray, absolute: bool) -> np.ndarra
     rows holds (a, b, zero_a, zero_b); a flag is 1.0 where that end is a zero z
     of f.  There sigma*log|t - z| (sigma = -1 absolute, +1 signed) is subtracted
     before the rule and its exact integral u*log(u) - u added back (Davis &
-    Rabinowitz, Methods of Numerical Integration, ch. 2).  One eval_f call.
+    Rabinowitz, Methods of Numerical Integration, ch. 2).  Every node is
+    t = a + w*u for the panel width w = b - a and 36 fixed fractions u (12 on
+    the panel, 12 on each half), so the panels of one exact width share one
+    _phase_product.
     """
     a, b, zero_a, zero_b = rows.T
-    mid = a + 0.5 * (b - a)
+    w = b - a
+    nodes, weights = _gauss_legendre()
+    x = 0.5 * (1.0 + nodes)
+    u = np.concatenate([x, 0.5 * x, 0.5 + 0.5 * x])
+    widths, group = np.unique(w, return_inverse=True)
+    f = np.empty((a.size, u.size), dtype=complex)
+    for k, width in enumerate(widths):
+        members = np.flatnonzero(group == k)
+        f[members] = _phase_product(sig, a[members], width * u)
+    t = (a[:, None] + w[:, None] * u).reshape(-1, 3, nodes.size)
+    logf = _log(np.abs(f)).reshape(t.shape)
+
+    mid = a + 0.5 * w
     none = np.zeros_like(a)
     lo, hi = np.stack([a, a, mid], axis=1), np.stack([b, mid, b], axis=1)
     at_lo = np.stack([zero_a, zero_a, none], axis=1)
     at_hi = np.stack([zero_b, none, zero_b], axis=1)
-    half = 0.5 * (hi - lo)
-    nodes, weights = _gauss_legendre()
-    t = (lo + half)[..., None] + half[..., None] * nodes
-    logf = _log(np.abs(eval_f(sig, t)))
+    half = w[:, None] * np.array([0.5, 0.25, 0.25])
     near = at_lo[..., None] * _log(t - lo[..., None]) + at_hi[..., None] * _log(hi[..., None] - t)
     sigma = -1.0 if absolute else 1.0
     integrand = (np.abs(logf) if absolute else logf) - sigma * near
@@ -382,9 +412,10 @@ def paley_wiener_integral(
     Lockstep adaptive Gauss-Legendre quadrature of order 12 over `panels`
     uniform panels plus the zeros from find_zeros as edges, with each zero's
     log singularity integrated in closed form.  Each level evaluates every open
-    panel and its two halves in one eval_f call; a panel is accepted when the
-    two estimates agree to PANEL_TOL and halved otherwise.  After 40 levels the
-    open panels keep their halves' sum and a RuntimeWarning reports the cap.
+    panel and its two halves with one _phase_product per panel width; a panel
+    is accepted when the two estimates agree to PANEL_TOL and halved otherwise.
+    After 40 levels the open panels keep their halves' sum and a RuntimeWarning
+    reports the cap.
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
     """

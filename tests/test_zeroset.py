@@ -33,7 +33,10 @@ from timeobs.zeroset import (
     BISECTION_TOL,
     _bisect,
     _chord_distance,
+    _gauss_legendre,
     _golden,
+    _panel_rules,
+    _phase_product,
     _scan,
     _scan_rounding,
 )
@@ -155,14 +158,18 @@ SCAN_CASES = {
 }
 
 
+def _scan_case_signal(case):
+    kind, n, seed, window, _ = SCAN_CASES[case]
+    if kind == "random":
+        return _random_signal(seed, n), window
+    return _structured_signal(kind, n, seed, False), window
+
+
 class TestScan:
     @pytest.mark.parametrize("case", list(SCAN_CASES))
     def test_grid_matches_eval_f_within_rounding(self, case):
-        kind, n, seed, window, stride = SCAN_CASES[case]
-        if kind == "random":
-            sig = _random_signal(seed, n)
-        else:
-            sig = _structured_signal(kind, n, seed, False)
+        sig, window = _scan_case_signal(case)
+        stride = SCAN_CASES[case][-1]
         ts, fs, _ = _scan(sig, window, 1000)
         pick = np.unique(np.append(np.arange(0, ts.size, stride), ts.size - 1))
         err = float(np.max(np.abs(fs[pick] - eval_f(sig, ts[pick]))))
@@ -205,6 +212,44 @@ class TestScan:
         zeros = find_zeros(sig, window, base_grid=1000)
         assert len(zeros) == 1
         assert zeros[0] == pytest.approx(0.5 * math.pi, abs=1e-9)
+
+
+class TestPhaseProduct:
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_table_matches_eval_f_within_rounding(self, case):
+        sig, window = _scan_case_signal(case)
+        rng = np.random.default_rng(11)
+        starts = np.sort(rng.uniform(0.0, 0.9 * window, 300))
+        offsets = 0.1 * window * np.linspace(0.0, 1.0, 36)
+        table = _phase_product(sig, starts, offsets)
+        assert table.shape == (300, 36)
+        direct = eval_f(sig, starts[:, None] + offsets)
+        assert np.max(np.abs(table - direct)) <= _scan_rounding(sig, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        window=st.floats(0.5, 20.0),
+    )
+    def test_table_matches_eval_f_on_random_inputs(self, seed, n, rows, cols, window):
+        sig = _random_signal(seed, n)
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, 0.5 * window, rows)
+        offsets = rng.uniform(0.0, 0.5 * window, cols)
+        table = _phase_product(sig, starts, offsets)
+        direct = eval_f(sig, starts[:, None] + offsets)
+        assert np.max(np.abs(table - direct)) <= _scan_rounding(sig, window)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        sig = _structured_signal("harmonic", 64, 5, False)
+        starts, offsets = np.linspace(0.0, 9.0, 100), np.linspace(0.0, 1.0, 7)
+        whole = _phase_product(sig, starts, offsets)
+        monkeypatch.setattr(zeroset, "_BLOCK_ENTRIES", 64 * 16)  # 16 rows per block
+        blocked = _phase_product(sig, starts, offsets)
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=_scan_rounding(sig, 10.0))
 
 
 class TestSublevelMeasure:
@@ -378,7 +423,59 @@ class TestFindZeros:
             find_zeros(sig, 1.0)
 
 
+def _direct_panel_rules(sig, rows, absolute):
+    """Reference for _panel_rules: each rule's nodes through eval_f, one interval at a time."""
+    nodes, weights = _gauss_legendre()
+    sigma = -1.0 if absolute else 1.0
+    out = []
+    for a, b, zero_a, zero_b in rows:
+        mid = a + 0.5 * (b - a)
+        estimates = []
+        for lo, hi, at_lo, at_hi in ((a, b, zero_a, zero_b), (a, mid, zero_a, 0.0), (mid, b, 0.0, zero_b)):
+            half = 0.5 * (hi - lo)
+            t = lo + half * (1.0 + nodes)
+            logf = np.log(np.abs(eval_f(sig, t)))
+            near = at_lo * np.log(t - lo) + at_hi * np.log(hi - t)
+            integrand = (np.abs(logf) if absolute else logf) - sigma * near
+            exact = sigma * (at_lo + at_hi) * 2.0 * half * (math.log(2.0 * half) - 1.0)
+            estimates.append(half * float(integrand @ weights) + exact)
+        out.append(estimates)
+    return np.array(out)
+
+
 class TestPaleyWiener:
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_panel_rules_match_direct_evaluation(self, absolute):
+        sig = _signal_with_unit_roots()
+        zeros = np.array(find_zeros(sig, 8.0))
+        assert zeros.size == 3
+        # 16 uniform panels of width 0.5, each zero splitting one of them into two
+        # pieces of unique width, and halves of two panels in scrambled order.
+        edges = np.union1d(np.linspace(0.0, 8.0, 17), zeros)
+        flags = np.isin(edges, zeros).astype(float)
+        split = np.column_stack([edges[:-1], edges[1:], flags[:-1], flags[1:]])
+        halves = np.array([[6.0, 6.25, 0, 0], [1.0, 1.25, 0, 0], [6.25, 6.5, 0, 0], [1.25, 1.5, 0, 0]])
+        rows = np.concatenate([split, halves])
+        rows = rows[np.random.default_rng(4).permutation(len(rows))]
+        _, counts = np.unique(rows[:, 1] - rows[:, 0], return_counts=True)
+        assert 1 in counts and 4 in counts
+        got = _panel_rules(sig, rows, absolute)
+        np.testing.assert_allclose(got, _direct_panel_rules(sig, rows, absolute), rtol=0, atol=1e-12)
+
+    def test_integral_memory_is_bounded_by_phase_blocks(self):
+        # 4096 same-width panels at N = 1024: unblocked, one level's start table
+        # alone would be 64 MiB; in blocks it stays under four 16 MiB blocks.
+        spec = build_spectrum("harmonic", 1024, omega=1.0)
+        sig = TrigSignal.from_state(spec, random_state(1024, 3, in_zero_sum=True))
+        tracemalloc.start()
+        try:
+            value = paley_wiener_integral(sig, 1.0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and value > 0.0
+        assert peak < 64 * 2**20
+
     def test_flat_signal_zero_integral(self):
         sig = TrigSignal(np.array([2.0]), np.array([1.0]))
         assert paley_wiener_integral(sig, 5.0, 128) == pytest.approx(0.0, abs=1e-12)

@@ -18,7 +18,7 @@ from .spectral import (
     QuantumState,
     coefficient_sum,
 )
-from .zeroset import TrigSignal, eval_f
+from .zeroset import _BLOCK_ENTRIES, TrigSignal, _phases, eval_f
 
 HERMITICITY_TOL = 1e-13
 
@@ -171,6 +171,8 @@ def covariance_deviation(
 ) -> DeviationSeries:
     """Re<T>_tau - Re<T>_0 - tau over the grid.
 
+    The evolved states are built in row blocks of _BLOCK_ENTRIES phase entries,
+    each applied to T by one product, so memory does not grow with the grid.
     The expectation is bounded by the spectral norm of the operator while tau
     is unbounded, so the deviation grows without bound: the statistics cannot
     track elapsed time.
@@ -181,9 +183,15 @@ def covariance_deviation(
     if state.size != spectrum.size:
         raise DimensionError("state length does not match spectrum length")
     t_op = build_time_operator(spectrum)
-    phases = np.exp(-1j * np.outer(taus, spectrum.frequencies()))
-    states = phases * state.coeffs[None, :]
-    expect = np.einsum("kj,jl,kl->k", states.conj(), t_op.entries, states).real
+    freqs = spectrum.frequencies()
+    expect = np.empty(taus.size)
+    rows = max(1, _BLOCK_ENTRIES // spectrum.size)
+    for start in range(0, taus.size, rows):
+        states = _phases(taus[start:start + rows], freqs, state.coeffs)
+        applied = states @ t_op.entries.T
+        np.conj(states, out=states)
+        expect[start:start + rows] = np.einsum("kj,kj->k", states, applied).real
+        del states, applied  # the next block's phases are built without them
     base = float(np.real(state.coeffs.conj() @ t_op.entries @ state.coeffs))
     return DeviationSeries(taus, expect - base - taus)
 

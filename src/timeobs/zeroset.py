@@ -11,11 +11,14 @@ Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
 The scan evaluates f on a uniform grid as one product of two phase tables; a
 grid extremum is refined only when the chord-curvature screen (the distance
 from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
-|f| reach the threshold in its cells.  The mean-log integral is lockstep
-adaptive Gauss-Legendre quadrature with the zeros as panel edges and each
-zero's log singularity integrated in closed form.  Its nodes share the scan's
-phase-table product: the panels of one width sample f at the same offsets
-from their left ends.
+|f| reach the threshold in its cells.  Crossings and extrema are refined by
+safeguarded Newton inside their brackets, with f, f' and f'' from one phase
+block per point; an extremum bracket whose end slopes do not change sign
+falls back to golden section.  Brackets still open at a step cap raise a
+RuntimeWarning.  The mean-log integral is lockstep adaptive Gauss-Legendre
+quadrature with the zeros as panel edges and each zero's log singularity
+integrated in closed form.  Its nodes share the scan's phase-table product:
+the panels of one width sample f at the same offsets from their left ends.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ _LOG_FLOOR = 1e-300  # keeps log finite if a sample lands exactly on a zero
 _MAX_LEVELS = 40  # halvings of a Paley-Wiener panel before the level cap
 _PANEL_BLOCK = 2**12  # Paley-Wiener panels per _panel_rules call: 147 k nodes
 _BLOCK_ENTRIES = 2**20  # phase entries per eval_f or _phase_product block: 16 MiB
+_CROSSING_STEPS = 80  # lockstep steps of _crossings before the step cap
+_EXTREMUM_STEPS = 200  # lockstep steps of _extrema and _golden before the step cap
 
 
 @dataclass(frozen=True)
@@ -87,23 +92,49 @@ class TrigSignal:
         return float(np.sum(np.abs(self.amps) * np.abs(self.freqs)))
 
 
+def _phases(t: np.ndarray, freqs: np.ndarray, amps=None) -> np.ndarray:
+    """e^{-i t omega} as a (t, freqs) table, times amps when given, built in place."""
+    z = np.outer(t, freqs) * -1j
+    np.exp(z, out=z)
+    if amps is not None:
+        z *= amps
+    return z
+
+
 def eval_f(sig: TrigSignal, t):
-    """Evaluate the sum at a scalar or array of times, in bounded-memory blocks."""
+    """Evaluate the sum at a scalar or array of times, in bounded-memory blocks.
+
+    A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.
+    """
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
-    vals = np.empty(flat.size, dtype=complex)
+    vals = np.empty((flat.size,) + sig.amps.shape[1:], dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // sig.count)
     for start in range(0, flat.size, rows):
-        phases = np.exp(-1j * np.outer(flat[start:start + rows], sig.freqs))
-        vals[start:start + rows] = phases @ sig.amps
-    if t_arr.ndim == 0:
-        return complex(vals[0])
-    return vals.reshape(t_arr.shape)
+        vals[start:start + rows] = _phases(flat[start:start + rows], sig.freqs) @ sig.amps
+    out = vals.reshape(t_arr.shape + sig.amps.shape[1:])
+    return complex(out) if out.ndim == 0 else out
+
+
+class _Jet:
+    """f, f' and f'' of a signal as the amplitude columns [c, -i omega c, -omega^2 c].
+
+    eval_f of a _Jet gives the three values in a trailing axis from one phase
+    block per time: the exponentials of one f evaluation.
+    """
+
+    def __init__(self, sig: TrigSignal):
+        c, om = sig.amps, sig.freqs
+        self.freqs, self.count = om, sig.count
+        self.amps = np.column_stack([c, -1j * om * c, -(om**2) * c])
 
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Sublevel-measure estimate lambda{t in [0, window] : |f(t)| < epsilon}."""
+    """Sublevel-measure estimate lambda{t in [0, window] : |f(t)| < epsilon}.
+
+    refinement_depth is the number of lockstep steps the crossing refinement took.
+    """
 
     epsilon: float
     window: float
@@ -145,12 +176,11 @@ def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> 
     offsets) N exponentials and one product, in row blocks of _BLOCK_ENTRIES
     phase entries.  Its error is bounded by _scan_rounding.
     """
-    inner = np.exp(-1j * np.outer(sig.freqs, offsets))
+    inner = _phases(sig.freqs, offsets)
     table = np.empty((starts.size, offsets.size), dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // sig.count)
     for start in range(0, starts.size, rows):
-        outer = np.exp(-1j * np.outer(starts[start:start + rows], sig.freqs)) * sig.amps
-        table[start:start + rows] = outer @ inner
+        table[start:start + rows] = _phases(starts[start:start + rows], sig.freqs, sig.amps) @ inner
     return table
 
 
@@ -191,12 +221,28 @@ def _local_minima(v: np.ndarray, floor: float) -> np.ndarray:
     return np.nonzero(keep)[0] + 1
 
 
+def _open(lo, hi) -> np.ndarray:
+    """Brackets wider than BISECTION_TOL and than the double spacing at their ends.
+
+    Beyond |t| = 8192 adjacent doubles lie more than BISECTION_TOL apart, so a
+    bracket there is closed once no double lies strictly inside it.
+    """
+    return hi - lo > np.maximum(BISECTION_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def _warn_cap(still_open: int, kind: str, cap: int) -> None:
+    """RuntimeWarning for brackets still open at a step cap, attributed to the refiner's caller."""
+    if still_open:
+        message = f"{still_open} {kind} brackets hit the step cap {cap}"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
 def _golden(sig: TrigSignal, a, b, sign, shift: float):
     """Golden-section minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
 
-    Each bracket runs the scalar recurrence to BISECTION_TOL (at most 200
-    steps); the open ones share one eval_f call per step.  Returns the
-    minimizers and the signed minimum values.
+    Each bracket runs the scalar recurrence until it is closed (_open; at
+    most _EXTREMUM_STEPS steps); the open ones share one eval_f call per step.
+    Returns the minimizers and the signed minimum values.
     """
     if a.size == 0:
         return a, a
@@ -204,8 +250,8 @@ def _golden(sig: TrigSignal, a, b, sign, shift: float):
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     both = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([c, d]))) - shift)
     fc, fd = np.split(both, 2)
-    for _ in range(200):
-        live = np.nonzero(b - a > BISECTION_TOL)[0]
+    for _ in range(_EXTREMUM_STEPS):
+        live = np.flatnonzero(_open(a, b))
         if live.size == 0:
             break
         keep = fc[live] <= fd[live]  # the minimum stays in [a, d]
@@ -219,27 +265,99 @@ def _golden(sig: TrigSignal, a, b, sign, shift: float):
             np.where(keep, fc[live], f_probe),
         )
         a[live], b[live] = lo, hi
+    _warn_cap(int(np.count_nonzero(_open(a, b))), "golden-section", _EXTREMUM_STEPS)
     take_c = fc <= fd
     return np.where(take_c, c, d), np.where(take_c, fc, fd)
 
 
-def _bisect(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int]:
+def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
+    """Lockstep safeguarded Newton on sign-change brackets [lo, hi] until each is closed.
+
+    Each bracket starts at its midpoint.  probe(live, x, jet) gets the
+    iterates x of the brackets live with their eval_f rows (f, f', f'') and
+    returns whether each becomes its bracket's left end, and its Newton step.
+    A step that is not finite or leaves the bracket is replaced by the
+    midpoint (Brent, Algorithms for Minimization without Derivatives, 1973);
+    a step below BISECTION_TOL / 2, or below one double spacing where that is
+    larger, is taken at that length, which closes the bracket around a
+    converged root.  The open brackets (_open) share one eval_f call per
+    step, for at most cap steps.  Returns the brackets, the step count and
+    how many are still open.
+    """
+    jet = _Jet(sig)
+    lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    live = np.arange(lo.size)
+    steps = 0
+    while live.size and steps < cap:
+        xl = x[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_lo, step = probe(live, xl, eval_f(jet, xl))
+        lo[live], hi[live] = np.where(to_lo, xl, lo[live]), np.where(to_lo, hi[live], xl)
+        a, b = lo[live], hi[live]
+        floor = np.maximum(0.5 * BISECTION_TOL, np.spacing(np.abs(xl)))
+        nxt = xl - np.where(np.abs(step) < floor, np.copysign(floor, step), step)
+        x[live] = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
+        steps += 1
+        live = live[_open(a, b)]
+    return lo, hi, steps, live.size
+
+
+def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int]:
     """Crossings of |f| = shift on all brackets [lo, hi] in lockstep, to BISECTION_TOL.
 
-    inside_lo flags brackets whose left end lies in {|f| < shift}; the open ones
-    share one eval_f call per step, for at most 80 steps.  Also returns the step count.
+    inside_lo flags brackets whose left end lies in {|f| < shift}.  Newton runs
+    on |f| - shift (d|f|/dt = Re(conj(f) f') / |f|, so it is exact where |f|
+    is linear in t, as next to a simple zero), and every iterate replaces the
+    bracket end on its side of the crossing, so each crossing keeps
+    bisection's guarantee.  Returns the final midpoints and the lockstep step
+    count; brackets still open after _CROSSING_STEPS steps raise a
+    RuntimeWarning.
     """
-    lo, hi = lo.copy(), hi.copy()
-    depth = 0
-    while depth < 80:
-        live = np.nonzero(hi - lo > BISECTION_TOL)[0]
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        to_lo = (np.abs(eval_f(sig, mid)) - shift < 0.0) == inside_lo[live]
-        lo[live], hi[live] = np.where(to_lo, mid, lo[live]), np.where(to_lo, hi[live], mid)
-        depth += 1
-    return 0.5 * (lo + hi), depth
+
+    def probe(live, x, jet):
+        f, f1 = jet[:, 0], jet[:, 1]
+        absf = np.abs(f)
+        to_lo = (absf - shift < 0.0) == inside_lo[live]
+        return to_lo, (absf - shift) * absf / (f.real * f1.real + f.imag * f1.imag)
+
+    lo, hi, steps, still_open = _newton(sig, lo, hi, probe, _CROSSING_STEPS)
+    _warn_cap(still_open, "crossing", _CROSSING_STEPS)
+    return 0.5 * (lo + hi), steps
+
+
+def _extrema(sig: TrigSignal, a, b, sign, shift: float):
+    """Minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
+
+    Where s = sign * d|f|^2/dt is negative at a and positive at b, Newton on s
+    (s' = 2 sign (|f'|^2 + Re(conj(f) f''))) returns the best point it
+    probed; every other bracket goes to _golden.  Returns the minimizers and
+    the signed minimum values; brackets still open after _EXTREMUM_STEPS
+    steps raise a RuntimeWarning.
+    """
+    ends = eval_f(_Jet(sig), np.concatenate([a, b]))
+    f, f1 = ends[:, 0], ends[:, 1]
+    s_a, s_b = np.split(np.tile(sign, 2) * (f.real * f1.real + f.imag * f1.imag), 2)
+    newton = (s_a < 0.0) & (s_b > 0.0)
+    t, v = np.empty(a.size), np.empty(a.size)
+    t[~newton], v[~newton] = _golden(sig, a[~newton], b[~newton], sign[~newton], shift)
+
+    a, b, s = a[newton], b[newton], sign[newton]
+    best_t, best_v = np.empty(a.size), np.full(a.size, np.inf)
+
+    def probe(live, x, jet):
+        f, f1, f2 = jet[:, 0], jet[:, 1], jet[:, 2]
+        value = s[live] * (np.abs(f) - shift)
+        better = value < best_v[live]
+        best_t[live[better]], best_v[live[better]] = x[better], value[better]
+        slope = s[live] * (f.real * f1.real + f.imag * f1.imag)
+        curve = s[live] * (f1.real**2 + f1.imag**2 + f.real * f2.real + f.imag * f2.imag)
+        return slope < 0.0, slope / curve
+
+    *_, still_open = _newton(sig, a, b, probe, _EXTREMUM_STEPS)
+    _warn_cap(still_open, "extremum", _EXTREMUM_STEPS)
+    t[newton], v[newton] = best_t, best_v
+    return t, v
 
 
 def sublevel_measure(
@@ -248,12 +366,14 @@ def sublevel_measure(
     """Measure of {t in [0, window] : |f(t)| < epsilon}.
 
     Uniform sampling detects sign changes of |f| - epsilon, each refined by
-    bisection to 1e-12 in t.  A grid minimum above epsilon is promoted to
-    golden-section refinement when a chord next to it comes within the screen
-    of epsilon, and a grid maximum below epsilon when it lies within the
-    screen of epsilon (|chord| is convex, so its cell maxima sit at nodes).
-    The error bound is the cell width times the count of cells that passed
-    the chord screen but produced no refined feature.
+    safeguarded Newton on |f| - epsilon to a sign-change bracket of at most
+    1e-12 in t.  A grid minimum above epsilon is promoted to extremum
+    refinement (Newton on d|f|^2/dt, or golden section) when a chord next to
+    it comes within the screen of epsilon, and a grid maximum below epsilon
+    when it lies within the screen of epsilon (|chord| is convex, so its cell
+    maxima sit at nodes).  The error bound is the cell width times the count
+    of cells that passed the chord screen but produced no refined feature.
+    Brackets still open at a refinement step cap raise a RuntimeWarning.
     """
     if not epsilon > 0.0:
         raise PhysicsError("epsilon must be positive")
@@ -283,12 +403,12 @@ def sublevel_measure(
     rises = rises[may_rise[rises - 1] | may_rise[rises]]
     ext = np.concatenate([dips, rises])
     sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
-    t_ext, v_ext = _golden(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
+    t_ext, v_ext = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
     hit = v_ext < 0.0
     ext, t_ext, g_ext = ext[hit], t_ext[hit], (sign * v_ext)[hit]
 
     # The right half of a split extremum starts at t_ext: inside for a dip.
-    crossings, depth = _bisect(
+    crossings, depth = _crossings(
         sig,
         np.concatenate([ts[cross], ts[ext - 1], t_ext]),
         np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
@@ -327,8 +447,9 @@ def find_zeros(
 ) -> list[float]:
     """Times in [0, window] where |f| vanishes, by refining grid-scale minima.
 
-    A grid minimum is refined by golden section only when the chord screen
-    lets |f| fall to zero_tol on one of its cells.
+    A grid minimum is refined (Newton on d|f|^2/dt, or golden section) only
+    when the chord screen lets |f| fall to zero_tol on one of its cells.
+    Brackets still open at the refinement step cap raise a RuntimeWarning.
     """
     if not window > 0.0:
         raise PhysicsError("window must be positive")
@@ -347,7 +468,7 @@ def find_zeros(
     # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
     keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_tol
     lo, hi = lo[keep], hi[keep]
-    t_min, f_min = _golden(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
+    t_min, f_min = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
     zeros = np.sort(np.clip(t_min[f_min <= zero_tol], 0.0, float(window))).tolist()
     merged: list[float] = []
     for z in zeros:

@@ -28,6 +28,7 @@ from timeobs import (
     spectral_norm,
     weak_commutator,
 )
+from timeobs import operators
 from timeobs.denseness import zero_sum_projector_rank
 from timeobs.zeroset import TrigSignal, eval_f
 
@@ -389,6 +390,38 @@ class TestCovarianceDeviation:
             psi = random_state(8, seed)
             series = covariance_deviation(spec, psi, np.array([0.0, 4.0 * norm]))
             assert abs(series.values[-1]) >= 2.0 * norm
+
+    @pytest.mark.parametrize("block_rows", [None, 97])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_blocks_match_one_einsum(self, monkeypatch, n, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(operators, "_BLOCK_ENTRIES", n * block_rows)
+        taus = np.linspace(0.0, 25.0, 1000)
+        for spec in _spectra(n):
+            psi = random_state(n, 3)
+            series = covariance_deviation(spec, psi, taus)
+            top = build_time_operator(spec).entries
+            states = np.exp(-1j * np.outer(taus, spec.frequencies())) * psi.coeffs
+            expect = np.einsum("kj,jl,kl->k", states.conj(), top, states).real
+            base = float(np.real(psi.coeffs.conj() @ top @ psi.coeffs))
+            scale = float(np.max(np.abs(expect)))
+            np.testing.assert_allclose(
+                series.values + taus, expect - base, rtol=0, atol=1e-12 * scale
+            )
+
+    def test_long_series_in_bounded_memory(self):
+        # Unblocked, the 100 000 x 64 phase table and its einsum peak near 296 MiB.
+        spec = build_spectrum("harmonic", 64, omega=1.0)
+        psi = random_state(64, 5)
+        taus = np.linspace(0.0, 50.0, 100_000)
+        tracemalloc.start()
+        try:
+            series = covariance_deviation(spec, psi, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+        assert np.all(np.isfinite(series.values))
 
     def test_empty_grid_rejected(self, two_level, plus_state):
         with pytest.raises(DimensionError):

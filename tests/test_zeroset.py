@@ -24,6 +24,7 @@ from timeobs import (
     find_zeros,
     paley_wiener_integral,
     periodic_approximation,
+    project_to_zero_sum,
     random_state,
     sublevel_measure,
 )
@@ -31,10 +32,13 @@ from timeobs import zeroset
 from timeobs.claims import paley_wiener_convergence, run_claims
 from timeobs.zeroset import (
     BISECTION_TOL,
-    _bisect,
     _chord_distance,
+    _crossings as _bisect,
+    _extrema,
     _gauss_legendre,
     _golden,
+    _Jet,
+    _local_minima,
     _panel_rules,
     _phase_product,
     _scan,
@@ -147,6 +151,30 @@ class TestSignal:
         for piece in np.array_split(np.arange(ts.size), 100):
             direct = np.exp(-1j * np.outer(ts[piece], sig.freqs)) @ sig.amps
             np.testing.assert_allclose(vals[piece], direct, rtol=0, atol=1e-12)
+
+    def test_phase_blocks_are_built_in_place(self):
+        # Four blocks of 1024 x 1024 phases (16 MiB each).  In place, a block and
+        # its real argument peak near 24 MiB (24.2 MiB measured); exp of a
+        # complex copy reads 48.1 MiB, and a block kept into the next about 40.
+        spec = build_spectrum("harmonic", 1024, omega=1.0)
+        sig = TrigSignal.from_state(spec, random_state(1024, 3))
+        ts = np.linspace(0.0, 10.0, 4096)
+        tracemalloc.start()
+        try:
+            eval_f(sig, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_jet_gives_f_and_its_derivatives(self, incommensurate_five):
+        sig = incommensurate_five
+        ts = np.linspace(0.0, 20.0, 301)
+        terms = np.exp(-1j * np.outer(ts, sig.freqs)) * sig.amps
+        direct = np.column_stack(
+            [terms.sum(axis=1), terms @ (-1j * sig.freqs), terms @ -(sig.freqs**2)]
+        )
+        np.testing.assert_allclose(eval_f(_Jet(sig), ts), direct, rtol=0, atol=1e-12)
 
 
 SCAN_CASES = {
@@ -352,6 +380,27 @@ def _scalar_golden(fun, a, b):
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def _scalar_bisection(inside, lo, hi, inside_lo):
+    """Reference: scalar bisection of a side test to BISECTION_TOL, returning the midpoint."""
+    for _ in range(80):
+        if hi - lo <= BISECTION_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if inside(mid) == inside_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _box32_benchmark_signal():
+    """Box N = 32, equal moduli with seeded phases (seed 7), projected to zero sum."""
+    spec = build_spectrum("box", 32, scale=1.0)
+    coeffs = random_state(32, 7).coeffs
+    flat = QuantumState.normalized(coeffs / np.abs(coeffs))
+    return TrigSignal.from_state(spec, project_to_zero_sum(flat))
+
+
 class TestLockstepRefiners:
     def test_golden_matches_scalar_recurrence(self, incommensurate_five):
         sig, shift = incommensurate_five, 0.3
@@ -377,6 +426,97 @@ class TestLockstepRefiners:
         crossings, depth = _bisect(balanced_signal, lo, hi, np.array([False, True]), eps)
         np.testing.assert_allclose(crossings, [math.pi - delta, math.pi + delta], atol=1e-11)
         assert 0 < depth <= 80
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        level=st.floats(0.05, 0.95),
+        window=st.floats(0.5, 3.0),
+    )
+    def test_newton_matches_scalar_references_on_random_spectra(self, seed, n, level, window):
+        sig = _random_signal(seed, n)
+        ts, fs, _ = _scan(sig, window, 1000)
+        absf = np.abs(fs)
+        eps = float(np.quantile(absf, level))
+        below = absf - eps < 0.0
+        cross = np.nonzero(below[:-1] != below[1:])[0]
+        # Compare only cells that a 64-piece sub-grid shows crossing once.
+        sub = ts[cross, None] + np.linspace(0.0, 1.0, 65) * (ts[cross + 1] - ts[cross])[:, None]
+        side = np.abs(eval_f(sig, sub)) - eps < 0.0
+        cross = cross[np.sum(side[:, 1:] != side[:, :-1], axis=1) == 1]
+        crossings, _ = _bisect(sig, ts[cross], ts[cross + 1], below[cross], eps)
+        for k, c in enumerate(cross):
+            ref = _scalar_bisection(
+                lambda t: abs(eval_f(sig, t)) - eps < 0.0, ts[c], ts[c + 1], below[c]
+            )
+            assert abs(crossings[k] - ref) <= 2.0 * BISECTION_TOL
+
+        dips, rises = _local_minima(absf, -np.inf), _local_minima(-absf, -np.inf)
+        ext = np.concatenate([dips, rises])
+        sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
+        t_ext, v_ext = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, eps)
+        for k, e in enumerate(ext):
+            _, v_ref = _scalar_golden(
+                lambda t: sign[k] * (abs(eval_f(sig, t)) - eps), ts[e - 1], ts[e + 1]
+            )
+            assert ts[e - 1] < t_ext[k] < ts[e + 1]
+            # The two minimizers differ, so each value carries its own rounding.
+            assert v_ext[k] <= v_ref + 2.0 * _scan_rounding(sig, window)
+
+    def test_refinement_points_on_the_box32_eps_ladder(self, monkeypatch):
+        # Golden section and bisection took 53 741 eval_f points on this ladder.
+        sig = _box32_benchmark_signal()
+        points = 0
+
+        def counted(s, t):
+            nonlocal points
+            points += np.size(t)
+            return eval_f(s, t)
+
+        monkeypatch.setattr(zeroset, "eval_f", counted)
+        for eps in (0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6):
+            sublevel_measure(sig, eps, 10.0, base_grid=1000)
+        zeros = find_zeros(sig, 10.0, base_grid=1000)
+        np.testing.assert_allclose(zeros, [0.0, TWO_PI], rtol=0, atol=1e-8)
+        assert points <= 13_435
+
+    @pytest.mark.parametrize(
+        "cap, kind", [("_CROSSING_STEPS", "2 crossing"), ("_EXTREMUM_STEPS", "1 extremum")]
+    )
+    def test_step_cap_hit_is_reported_by_sublevel_measure(
+        self, monkeypatch, balanced_signal, cap, kind
+    ):
+        # At eps 1e-4 the dip at pi is narrower than a cell: an extremum and two crossings.
+        monkeypatch.setattr(zeroset, cap, 1)
+        with pytest.warns(RuntimeWarning) as caught:
+            sublevel_measure(balanced_signal, 1e-4, 7.0)
+        assert [str(w.message) for w in caught] == [f"{kind} brackets hit the step cap 1"]
+
+    def test_brackets_beyond_double_resolution_close_without_cap_hits(self, balanced_signal):
+        # Past t = 8192 adjacent doubles lie more than BISECTION_TOL apart, so a
+        # bracket closes at one double spacing; a cap hit would be a RuntimeWarning.
+        # Newton closes them in a few steps; bisecting to that spacing takes 30.
+        window, eps = 2.0e4, 1e-3
+        zeros = np.arange(math.pi, window, TWO_PI)
+        delta = 2.0 * math.asin(eps / math.sqrt(2.0))
+        report = sublevel_measure(balanced_signal, eps, window)
+        # Each of the 2 * zeros.size crossings lies within one double spacing.
+        tol = 2 * zeros.size * float(np.spacing(window))
+        assert report.measure == pytest.approx(2.0 * delta * zeros.size, abs=tol)
+        assert report.refinement_depth <= 12
+        found = find_zeros(balanced_signal, window)
+        np.testing.assert_allclose(found, zeros, rtol=0, atol=1e-8)
+
+    def test_step_cap_hit_is_reported_by_find_zeros(self, monkeypatch):
+        # The zero at t = 0 sits on the window end, where its bracket's end
+        # slopes do not change sign: golden section refines it, Newton the rest.
+        sig = _box32_benchmark_signal()
+        monkeypatch.setattr(zeroset, "_EXTREMUM_STEPS", 1)
+        with pytest.warns(RuntimeWarning) as caught:
+            find_zeros(sig, 10.0, base_grid=1000)
+        kinds = {str(w.message).split(" brackets")[0].split(" ", 1)[1] for w in caught}
+        assert kinds == {"extremum", "golden-section"}
 
 
 class TestFindZeros:

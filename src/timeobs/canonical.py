@@ -84,18 +84,3 @@ def verify_covariance(
     lhs = density_at(shifted, t_grid)
     rhs = density_at(base, t_grid - float(tau))
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def bohr_mean_density(density: CanonicalDensity, window: float, samples: int) -> float:
-    """Midpoint average of the density over [0, window].
-
-    Converges to sum|c_j|^2 / gamma as the window grows; exact at one period
-    for commensurate levels.
-    """
-    if not window > 0.0:
-        raise PhysicsError("window must be positive")
-    if int(samples) < 2:
-        raise DimensionError("samples must be at least 2")
-    n = int(samples)
-    ts = (np.arange(n) + 0.5) * (float(window) / n)
-    return float(np.mean(density_at(density, ts)))

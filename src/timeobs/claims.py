@@ -108,17 +108,18 @@ def _claim_iii(spectrum, state, grid, tau_max, epsilons) -> dict:
     window = float(tau_max)
     base_grid = max(1000, int(grid))
     eps_sorted = sorted({float(e) for e in epsilons}, reverse=True)
-    fractions = []
-    for eps in eps_sorted:
-        report = sublevel_measure(sig, eps, window, base_grid=base_grid)
-        fractions.append(report.measure / window)
     tail_eps = 1e-6 * sig.weight()
-    tail_report = sublevel_measure(sig, tail_eps, window, base_grid=base_grid)
-    tail_fraction = tail_report.measure / window
+    measured = [
+        _within_cap(sublevel_measure, sig, eps, window, base_grid=base_grid)
+        for eps in [*eps_sorted, tail_eps]
+    ]
+    fractions = [report.measure / window for report, _ in measured]
+    tail_fraction = fractions.pop()
+    refined = all(ok for _, ok in measured)
 
     fine, panels, rel_change, converged = paley_wiener_convergence(sig, window, grid)
     return {
-        "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and converged),
+        "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and refined and converged),
         "window": window,
         "epsilons": eps_sorted,
         "measure_fractions": fractions,
@@ -136,19 +137,26 @@ def paley_wiener_convergence(sig: TrigSignal, window: float, grid: int):
 
     Returns the fine value, the fine panel count, the relative change between
     the two, and whether that change is within PW_STABILITY_TOL with neither
-    integral at its level cap.
+    integral at a level or step cap.
     """
     panels = max(100, int(grid) // 4)
-    coarse, coarse_ok = _integral_within_cap(sig, window, panels)
-    fine, fine_ok = _integral_within_cap(sig, window, 2 * panels)
+    coarse, coarse_ok = _within_cap(paley_wiener_integral, sig, window, panels)
+    fine, fine_ok = _within_cap(paley_wiener_integral, sig, window, 2 * panels)
     rel_change = abs(fine - coarse) / max(abs(fine), 1e-300)
     converged = rel_change <= PW_STABILITY_TOL and coarse_ok and fine_ok
     return fine, 2 * panels, rel_change, bool(converged)
 
 
-def _integral_within_cap(sig: TrigSignal, window: float, panels: int) -> tuple[float, bool]:
-    """paley_wiener_integral, and False in place of the RuntimeWarning of a cap hit."""
+def _within_cap(compute, *args, **kwargs):
+    """compute(*args, **kwargs), and False in place of the RuntimeWarning of a cap hit.
+
+    Other warnings pass through.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        value = paley_wiener_integral(sig, window, panels)
-    return value, not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        value = compute(*args, **kwargs)
+    capped = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for w in caught:
+        if w not in capped:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return value, not capped

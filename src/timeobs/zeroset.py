@@ -13,8 +13,8 @@ grid extremum is refined only when the chord-curvature screen (the distance
 from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
 |f| reach the threshold in its cells.  Crossings and extrema are refined by
 safeguarded Newton inside their brackets, with f, f' and f'' from one phase
-block per point; an extremum bracket whose end slopes do not change sign
-falls back to golden section.  Brackets still open at a step cap raise a
+block per point, and a sublevel measure is summed from the sides on which
+its crossing brackets start.  Brackets still open at a step cap raise a
 RuntimeWarning.  The mean-log integral is lockstep adaptive Gauss-Legendre
 quadrature with the zeros as panel edges and each zero's log singularity
 integrated in closed form.  Its nodes share the scan's phase-table product:
@@ -43,13 +43,12 @@ PANEL_TOL = 1e-9
 NYQUIST_PER_PERIOD = 20
 DENOMINATOR_CAP = 10**9
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_FLOOR = 1e-300  # keeps log finite if a sample lands exactly on a zero
 _MAX_LEVELS = 40  # halvings of a Paley-Wiener panel before the level cap
 _PANEL_BLOCK = 2**12  # Paley-Wiener panels per _panel_rules call: 147 k nodes
 _BLOCK_ENTRIES = 2**20  # phase entries per eval_f or _phase_product block: 16 MiB
 _CROSSING_STEPS = 80  # lockstep steps of _crossings before the step cap
-_EXTREMUM_STEPS = 200  # lockstep steps of _extrema and _golden before the step cap
+_EXTREMUM_STEPS = 200  # lockstep steps of _extrema before the step cap
 
 
 @dataclass(frozen=True)
@@ -237,41 +236,8 @@ def _warn_cap(still_open: int, kind: str, cap: int) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _golden(sig: TrigSignal, a, b, sign, shift: float):
-    """Golden-section minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
-
-    Each bracket runs the scalar recurrence until it is closed (_open; at
-    most _EXTREMUM_STEPS steps); the open ones share one eval_f call per step.
-    Returns the minimizers and the signed minimum values.
-    """
-    if a.size == 0:
-        return a, a
-    a, b = a.copy(), b.copy()
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    both = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([c, d]))) - shift)
-    fc, fd = np.split(both, 2)
-    for _ in range(_EXTREMUM_STEPS):
-        live = np.flatnonzero(_open(a, b))
-        if live.size == 0:
-            break
-        keep = fc[live] <= fd[live]  # the minimum stays in [a, d]
-        lo, hi = np.where(keep, a[live], c[live]), np.where(keep, d[live], b[live])
-        probe = np.where(keep, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        f_probe = sign[live] * (np.abs(eval_f(sig, probe)) - shift)
-        c[live], d[live], fc[live], fd[live] = (
-            np.where(keep, probe, d[live]),
-            np.where(keep, c[live], probe),
-            np.where(keep, f_probe, fd[live]),
-            np.where(keep, fc[live], f_probe),
-        )
-        a[live], b[live] = lo, hi
-    _warn_cap(int(np.count_nonzero(_open(a, b))), "golden-section", _EXTREMUM_STEPS)
-    take_c = fc <= fd
-    return np.where(take_c, c, d), np.where(take_c, fc, fd)
-
-
 def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
-    """Lockstep safeguarded Newton on sign-change brackets [lo, hi] until each is closed.
+    """Lockstep safeguarded Newton on brackets [lo, hi] until each is closed.
 
     Each bracket starts at its midpoint.  probe(live, x, jet) gets the
     iterates x of the brackets live with their eval_f rows (f, f', f'') and
@@ -280,9 +246,11 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
     midpoint (Brent, Algorithms for Minimization without Derivatives, 1973);
     a step below BISECTION_TOL / 2, or below one double spacing where that is
     larger, is taken at that length, which closes the bracket around a
-    converged root.  The open brackets (_open) share one eval_f call per
-    step, for at most cap steps.  Returns the brackets, the step count and
-    how many are still open.
+    converged root.  A bracket need not change sign: where it does not, the
+    side test moves the same end every step and closes the bracket on the
+    other.  The open brackets (_open) share one eval_f call per step, for at
+    most cap steps.  Returns the brackets, the step count and how many are
+    still open.
     """
     jet = _Jet(sig)
     lo, hi = lo.copy(), hi.copy()
@@ -329,35 +297,29 @@ def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.nda
 def _extrema(sig: TrigSignal, a, b, sign, shift: float):
     """Minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
 
-    Where s = sign * d|f|^2/dt is negative at a and positive at b, Newton on s
-    (s' = 2 sign (|f'|^2 + Re(conj(f) f''))) returns the best point it
-    probed; every other bracket goes to _golden.  Returns the minimizers and
-    the signed minimum values; brackets still open after _EXTREMUM_STEPS
-    steps raise a RuntimeWarning.
+    Newton on s = sign * d|f|^2/dt (s' = 2 sign (|f'|^2 + Re(conj(f) f'')))
+    returns the best point it probed, the two bracket ends included, so a
+    bracket whose minimum sits at an end returns that end.  Returns the
+    minimizers and the signed minimum values; brackets still open after
+    _EXTREMUM_STEPS steps raise a RuntimeWarning.
     """
-    ends = eval_f(_Jet(sig), np.concatenate([a, b]))
-    f, f1 = ends[:, 0], ends[:, 1]
-    s_a, s_b = np.split(np.tile(sign, 2) * (f.real * f1.real + f.imag * f1.imag), 2)
-    newton = (s_a < 0.0) & (s_b > 0.0)
-    t, v = np.empty(a.size), np.empty(a.size)
-    t[~newton], v[~newton] = _golden(sig, a[~newton], b[~newton], sign[~newton], shift)
-
-    a, b, s = a[newton], b[newton], sign[newton]
-    best_t, best_v = np.empty(a.size), np.full(a.size, np.inf)
+    ends = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([a, b]))) - shift)
+    v_a, v_b = np.split(ends, 2)
+    take_a = v_a <= v_b
+    best_t, best_v = np.where(take_a, a, b), np.where(take_a, v_a, v_b)
 
     def probe(live, x, jet):
         f, f1, f2 = jet[:, 0], jet[:, 1], jet[:, 2]
-        value = s[live] * (np.abs(f) - shift)
+        value = sign[live] * (np.abs(f) - shift)
         better = value < best_v[live]
         best_t[live[better]], best_v[live[better]] = x[better], value[better]
-        slope = s[live] * (f.real * f1.real + f.imag * f1.imag)
-        curve = s[live] * (f1.real**2 + f1.imag**2 + f.real * f2.real + f.imag * f2.imag)
+        slope = sign[live] * (f.real * f1.real + f.imag * f1.imag)
+        curve = sign[live] * (f1.real**2 + f1.imag**2 + f.real * f2.real + f.imag * f2.imag)
         return slope < 0.0, slope / curve
 
     *_, still_open = _newton(sig, a, b, probe, _EXTREMUM_STEPS)
     _warn_cap(still_open, "extremum", _EXTREMUM_STEPS)
-    t[newton], v[newton] = best_t, best_v
-    return t, v
+    return best_t, best_v
 
 
 def sublevel_measure(
@@ -368,11 +330,13 @@ def sublevel_measure(
     Uniform sampling detects sign changes of |f| - epsilon, each refined by
     safeguarded Newton on |f| - epsilon to a sign-change bracket of at most
     1e-12 in t.  A grid minimum above epsilon is promoted to extremum
-    refinement (Newton on d|f|^2/dt, or golden section) when a chord next to
-    it comes within the screen of epsilon, and a grid maximum below epsilon
-    when it lies within the screen of epsilon (|chord| is convex, so its cell
-    maxima sit at nodes).  The error bound is the cell width times the count
-    of cells that passed the chord screen but produced no refined feature.
+    refinement (Newton on d|f|^2/dt) when a chord next to it comes within the
+    screen of epsilon, and a grid maximum below epsilon when it lies within
+    the screen of epsilon (|chord| is convex, so its cell maxima sit at
+    nodes).  The measure sums the intervals between sorted crossings whose
+    crossing bracket starts inside the set.  The error bound is the cell
+    width times the count of cells that passed the chord screen but produced
+    no refined feature.
     Brackets still open at a refinement step cap raise a RuntimeWarning.
     """
     if not epsilon > 0.0:
@@ -408,23 +372,22 @@ def sublevel_measure(
     ext, t_ext, g_ext = ext[hit], t_ext[hit], (sign * v_ext)[hit]
 
     # The right half of a split extremum starts at t_ext: inside for a dip.
+    inside_lo = np.concatenate([below[cross], below[ext - 1], g_ext < 0.0])
     crossings, depth = _crossings(
         sig,
         np.concatenate([ts[cross], ts[ext - 1], t_ext]),
         np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
-        np.concatenate([below[cross], below[ext - 1], g_ext < 0.0]),
+        inside_lo,
         epsilon,
     )
     refined = np.zeros(n, dtype=bool)
     refined[cross] = refined[ext - 1] = refined[ext] = True
 
-    points = [0.0]
-    for p in np.sort(crossings).tolist():
-        if p - points[-1] > BISECTION_TOL and p < window:
-            points.append(p)
-    points.append(float(window))
-    edges = np.array(points)
-    inside = np.abs(eval_f(sig, 0.5 * (edges[:-1] + edges[1:]))) - epsilon < 0.0
+    # The brackets are disjoint, so the interval before each sorted crossing
+    # lies on its bracket's left side, and the last one on the window end's.
+    order = np.argsort(crossings)
+    edges = np.concatenate([[0.0], crossings[order], [float(window)]])
+    inside = np.append(inside_lo[order], below[-1])
     measure = min(float(np.sum(np.diff(edges)[inside])), float(window))
 
     h = float(window) / n
@@ -447,8 +410,8 @@ def find_zeros(
 ) -> list[float]:
     """Times in [0, window] where |f| vanishes, by refining grid-scale minima.
 
-    A grid minimum is refined (Newton on d|f|^2/dt, or golden section) only
-    when the chord screen lets |f| fall to zero_tol on one of its cells.
+    A grid minimum is refined (Newton on d|f|^2/dt, the bracket ends
+    included) only when the chord screen lets |f| fall to zero_tol on one of its cells.
     Brackets still open at the refinement step cap raise a RuntimeWarning.
     """
     if not window > 0.0:

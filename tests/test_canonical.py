@@ -8,7 +8,7 @@ from timeobs import (
     DimensionError,
     PhysicsError,
     QuantumState,
-    bohr_mean_density,
+    bohr_mean,
     build_spectrum,
     density_at,
     normalized_gamma,
@@ -93,14 +93,14 @@ class TestCovariance:
 class TestBohrMeanDensity:
     def test_two_level_over_one_period(self, two_level, plus_state):
         d = CanonicalDensity.from_state(two_level, plus_state)
-        mean = bohr_mean_density(d, 2.0 * math.pi, 4096)
+        mean = bohr_mean(lambda ts: density_at(d, ts), 2.0 * math.pi)
         assert mean == pytest.approx(1.0, abs=1e-12)
 
     def test_single_eigenstate_any_window(self):
         spec = build_spectrum("box", 2)
         d = CanonicalDensity(spec, np.array([0.0, 1.0]), gamma=4.0)
         for window in (0.3, 2.0, 17.0):
-            assert bohr_mean_density(d, window, 64) == pytest.approx(0.25)
+            assert bohr_mean(lambda ts: density_at(d, ts), window) == pytest.approx(0.25)
 
     def test_mean_approaches_one_with_growing_window(self):
         # incommensurate levels: cross terms decay like 1/window
@@ -108,7 +108,7 @@ class TestBohrMeanDensity:
         psi = random_state(3, 5)
         d = CanonicalDensity.from_state(spec, psi)
         errors = [
-            abs(bohr_mean_density(d, window, 1 << 14) - 1.0)
+            abs(bohr_mean(lambda ts: density_at(d, ts), window) - 1.0)
             for window in (50.0, 400.0, 3200.0)
         ]
         assert errors[2] < errors[0]
@@ -117,6 +117,4 @@ class TestBohrMeanDensity:
     def test_validation(self, two_level, plus_state):
         d = CanonicalDensity.from_state(two_level, plus_state)
         with pytest.raises(PhysicsError):
-            bohr_mean_density(d, 0.0, 16)
-        with pytest.raises(DimensionError):
-            bohr_mean_density(d, 1.0, 1)
+            bohr_mean(lambda ts: density_at(d, ts), 0.0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ from timeobs.claims import paley_wiener_convergence, run_claims
 from timeobs.zeroset import (
     BISECTION_TOL,
     _chord_distance,
-    _crossings as _bisect,
+    _crossings,
     _extrema,
     _gauss_legendre,
-    _golden,
     _Jet,
     _local_minima,
     _panel_rules,
@@ -282,8 +282,9 @@ class TestPhaseProduct:
 
 class TestSublevelMeasure:
     # At window 7 the zero at pi falls between grid points, and for the small
-    # thresholds the dip below eps is narrower than one cell: only the
-    # golden-section -> bisection path can find it.
+    # thresholds the dip below eps is narrower than one cell: only extremum
+    # refinement, whose minimum splits the dip into two crossing brackets, can
+    # find it.
     @pytest.mark.parametrize(
         "eps, window",
         [(0.1, TWO_PI), (1e-4, 7.0), (1e-6, 7.0)],
@@ -362,7 +363,7 @@ class TestSublevelMeasure:
 
 
 def _scalar_golden(fun, a, b):
-    """Reference: the scalar golden-section recurrence each lockstep bracket follows."""
+    """Reference: scalar golden-section minimization of fun on [a, b] to BISECTION_TOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
@@ -402,28 +403,13 @@ def _box32_benchmark_signal():
 
 
 class TestLockstepRefiners:
-    def test_golden_matches_scalar_recurrence(self, incommensurate_five):
-        sig, shift = incommensurate_five, 0.3
-        ts = np.linspace(0.0, 20.0, 401)
-        a, b = ts[:-2], ts[2:]
-        sign = np.where(np.arange(a.size) % 2 == 0, 1.0, -1.0)
-        t_min, v_min = _golden(sig, a, b, sign, shift)
-        for k in range(a.size):
-            t_ref, v_ref = _scalar_golden(
-                lambda t: sign[k] * (abs(eval_f(sig, t)) - shift), a[k], b[k]
-            )
-            # Scalar and array evaluations differ in the last bit, which moves
-            # the minimizer of a flat extremum by up to ~sqrt(machine eps).
-            assert t_min[k] == pytest.approx(t_ref, abs=1e-7)
-            assert v_min[k] == pytest.approx(v_ref, abs=1e-14)
-
     def test_bisection_follows_the_inside_flag(self, balanced_signal):
         # |f| = sqrt(2)|cos(t/2)| drops below eps on (pi - delta, pi + delta)
         eps = 0.1
         delta = 2.0 * math.asin(eps / math.sqrt(2.0))
         lo = np.array([math.pi - delta - 0.01, math.pi + delta - 0.002])
         hi = np.array([math.pi - delta + 0.003, math.pi + delta + 0.01])
-        crossings, depth = _bisect(balanced_signal, lo, hi, np.array([False, True]), eps)
+        crossings, depth = _crossings(balanced_signal, lo, hi, np.array([False, True]), eps)
         np.testing.assert_allclose(crossings, [math.pi - delta, math.pi + delta], atol=1e-11)
         assert 0 < depth <= 80
 
@@ -445,7 +431,7 @@ class TestLockstepRefiners:
         sub = ts[cross, None] + np.linspace(0.0, 1.0, 65) * (ts[cross + 1] - ts[cross])[:, None]
         side = np.abs(eval_f(sig, sub)) - eps < 0.0
         cross = cross[np.sum(side[:, 1:] != side[:, :-1], axis=1) == 1]
-        crossings, _ = _bisect(sig, ts[cross], ts[cross + 1], below[cross], eps)
+        crossings, _ = _crossings(sig, ts[cross], ts[cross + 1], below[cross], eps)
         for k, c in enumerate(cross):
             ref = _scalar_bisection(
                 lambda t: abs(eval_f(sig, t)) - eps < 0.0, ts[c], ts[c + 1], below[c]
@@ -465,13 +451,15 @@ class TestLockstepRefiners:
             assert v_ext[k] <= v_ref + 2.0 * _scan_rounding(sig, window)
 
     def test_refinement_points_on_the_box32_eps_ladder(self, monkeypatch):
-        # Golden section and bisection took 53 741 eval_f points on this ladder.
+        # Newton on every bracket takes 8 929 eval_f points in 162 calls here;
+        # golden section beside it and a closing midpoint test took 215 calls.
         sig = _box32_benchmark_signal()
-        points = 0
+        points = calls = 0
 
         def counted(s, t):
-            nonlocal points
+            nonlocal points, calls
             points += np.size(t)
+            calls += 1
             return eval_f(s, t)
 
         monkeypatch.setattr(zeroset, "eval_f", counted)
@@ -480,6 +468,49 @@ class TestLockstepRefiners:
         zeros = find_zeros(sig, 10.0, base_grid=1000)
         np.testing.assert_allclose(zeros, [0.0, TWO_PI], rtol=0, atol=1e-8)
         assert points <= 13_435
+        assert calls <= 170
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        level=st.floats(0.02, 0.9),
+        window=st.floats(0.5, 10.0),
+    )
+    def test_measure_matches_midpoint_classification_on_random_spectra(self, seed, n, level, window):
+        # Reference: each interval between sorted crossings is inside when |f|
+        # is below eps at its midpoint.  Intervals narrower than BISECTION_TOL
+        # may go either way.
+        sig = _random_signal(seed, n)
+        eps = level * sig.weight()
+        found = []
+
+        def spy(*args):
+            crossings, depth = _crossings(*args)
+            found.append(crossings)
+            return crossings, depth
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeroset, "_crossings", spy)
+            report = sublevel_measure(sig, eps, window, base_grid=1000)
+        (crossings,) = found
+        edges = np.concatenate([[0.0], np.sort(crossings), [window]])
+        inside = np.abs(eval_f(sig, 0.5 * (edges[:-1] + edges[1:]))) - eps < 0.0
+        reference = float(np.sum(np.diff(edges)[inside]))
+        assert abs(report.measure - reference) <= BISECTION_TOL * crossings.size
+
+    def test_extrema_return_the_better_end_without_an_interior_minimum(self, balanced_signal):
+        # |f| = sqrt(2)|cos(t/2)| falls on (0, pi), vanishes at pi and peaks at 2 pi.
+        a = np.array([0.5, 0.5, TWO_PI - 0.3, math.pi - 0.2])
+        b = np.array([1.0, 1.0, TWO_PI + 0.5, math.pi + 0.4])
+        sign = np.array([1.0, -1.0, 1.0, -1.0])
+        t, v = _extrema(balanced_signal, a, b, sign, 0.3)
+        # Monotone |f|: the lower end of sign * |f|.  Around a maximum of
+        # sign * |f|: the end farther from it.
+        np.testing.assert_array_equal(t, [1.0, 0.5, TWO_PI + 0.5, math.pi + 0.4])
+        np.testing.assert_allclose(
+            v, sign * (np.abs(eval_f(balanced_signal, t)) - 0.3), rtol=0, atol=1e-15
+        )
 
     @pytest.mark.parametrize(
         "cap, kind", [("_CROSSING_STEPS", "2 crossing"), ("_EXTREMUM_STEPS", "1 extremum")]
@@ -492,6 +523,24 @@ class TestLockstepRefiners:
         with pytest.warns(RuntimeWarning) as caught:
             sublevel_measure(balanced_signal, 1e-4, 7.0)
         assert [str(w.message) for w in caught] == [f"{kind} brackets hit the step cap 1"]
+
+    def test_step_cap_hit_fails_claim_iii(self, monkeypatch):
+        # Each of the seven sublevel_measure calls leaves crossing brackets open.
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        psi = random_state(8, 7, in_zero_sum=True)
+        monkeypatch.setattr(zeroset, "_CROSSING_STEPS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            claim_iii = run_claims(spec, psi)["claim_iii"]
+        assert claim_iii["paley_wiener_converged"]
+        assert not claim_iii["demonstrated"]
+
+    def test_other_warnings_pass_through_claim_iii(self):
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        psi = random_state(8, 7, in_zero_sum=True)
+        with pytest.warns(UserWarning, match="threshold at or above max"):
+            claim_iii = run_claims(spec, psi, epsilons=(10.0,))["claim_iii"]
+        assert claim_iii["measure_fractions"] == [1.0]
 
     def test_brackets_beyond_double_resolution_close_without_cap_hits(self, balanced_signal):
         # Past t = 8192 adjacent doubles lie more than BISECTION_TOL apart, so a
@@ -509,14 +558,13 @@ class TestLockstepRefiners:
         np.testing.assert_allclose(found, zeros, rtol=0, atol=1e-8)
 
     def test_step_cap_hit_is_reported_by_find_zeros(self, monkeypatch):
-        # The zero at t = 0 sits on the window end, where its bracket's end
-        # slopes do not change sign: golden section refines it, Newton the rest.
+        # Every bracket goes to Newton, the window-end zero at t = 0 included.
         sig = _box32_benchmark_signal()
         monkeypatch.setattr(zeroset, "_EXTREMUM_STEPS", 1)
         with pytest.warns(RuntimeWarning) as caught:
             find_zeros(sig, 10.0, base_grid=1000)
         kinds = {str(w.message).split(" brackets")[0].split(" ", 1)[1] for w in caught}
-        assert kinds == {"extremum", "golden-section"}
+        assert kinds == {"extremum"}
 
 
 class TestFindZeros:
@@ -537,6 +585,11 @@ class TestFindZeros:
         expected = [math.pi, 3.0 * math.pi, 5.0 * math.pi]
         assert len(zeros) == 3
         np.testing.assert_allclose(zeros, expected, atol=1e-9)
+
+    def test_window_end_zero_is_returned_exactly(self):
+        # f(0) = sum c_j = 0 to rounding: the bracket end t = 0 is the minimum.
+        zeros = find_zeros(_box32_benchmark_signal(), 10.0, base_grid=1000)
+        assert zeros[0] == 0.0
 
     def test_zero_sum_state_vanishes_at_origin(self):
         spec = build_spectrum("harmonic", 6, omega=1.0)

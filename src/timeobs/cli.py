@@ -217,10 +217,14 @@ def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
     base_grid = max(1000, config.grid)
     rows = []
     for eps in sorted(set(config.epsilons), reverse=True):
-        report = sublevel_measure(sig, eps, window, base_grid=base_grid)
-        rows.append((report.epsilon, report.measure, report.error_bound))
+        report, converged = claims_mod._within_cap(
+            sublevel_measure, sig, eps, window, base_grid=base_grid
+        )
+        rows.append((report.epsilon, report.measure, report.error_bound, converged))
     serialize.write_csv(
-        out_dir / "measure_scaling.csv", ("epsilon", "measure", "error_bound"), rows
+        out_dir / "measure_scaling.csv",
+        ("epsilon", "measure", "error_bound", "converged"),
+        rows,
     )
     fine, panels, _, converged = claims_mod.paley_wiener_convergence(sig, window, config.grid)
     record = {"window": window, "panels": panels, "value": fine, "converged": converged}

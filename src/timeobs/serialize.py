@@ -6,8 +6,9 @@ artifacts re-read into equal in-memory values.
 
 `write_json` is the one JSON writer.  Its output is byte-identical to
 `json.dump(obj, fh, indent=2, sort_keys=True)` plus a newline, and it also
-takes float64 arrays, which it streams row by row, formatting each distinct
-double once.
+takes float64 arrays, which it streams row by row.  One sort of an array's
+bit patterns gives its distinct doubles, each formatted once, and a binary
+search maps every entry to its text.
 """
 
 from __future__ import annotations
@@ -165,8 +166,10 @@ def write_json(path, obj) -> None:
 
     The bytes equal `json.dump(obj, fh, indent=2, sort_keys=True)` followed by
     a newline, where a float64 array is written as its `tolist()`.  Such
-    arrays are streamed one row at a time, and each distinct double in them
-    is formatted once.  Other arrays raise `TypeError`, as json does.
+    arrays are streamed one row at a time.  Their bit patterns are sorted
+    once; the patterns that differ from their sorted neighbour are the
+    distinct doubles, each formatted once, and `np.searchsorted` finds every
+    entry's text.  Other arrays raise `TypeError`, as json does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -179,11 +182,16 @@ def _json_chunks(obj, indent: str):
     """Yield the text of `obj` at nesting `indent`, as json's indent=2 encoder."""
     if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         # Bit patterns keep -0.0 apart from 0.0 and make NaN comparable.
-        distinct, index = np.unique(obj.view(np.int64), return_inverse=True)
+        bits = obj.view(np.int64)
+        ordered = np.sort(bits, axis=None)
+        first = np.ones(ordered.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        index = np.searchsorted(distinct, bits)
         texts = np.array(
             [_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object
         )
-        yield from _array_chunks(texts, index.reshape(obj.shape), indent)
+        yield from _array_chunks(texts, index, indent)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
@@ -255,13 +263,18 @@ def dump_series(path, series, header: Sequence[str] = ("tau", "value")) -> None:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Plain CSV with 17-significant-digit floats; integers stay integers."""
+    """Plain CSV: 17-significant-digit floats, integers as is, booleans true/false."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [
-                str(v) if isinstance(v, (int, np.integer)) else fmt17(v) for v in row
-            ]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return fmt17(value)

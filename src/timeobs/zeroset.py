@@ -544,7 +544,9 @@ def bohr_mean(g, window: float, tol: float = 1e-10, start: int = 1024, cap: int 
     """Window average of a vectorized function g over [0, window].
 
     Midpoint sampling with doubling until stable; exact (up to quadrature
-    tolerance) over whole periods of commensurate frequencies.
+    tolerance) over whole periods of commensurate frequencies.  At `cap`
+    samples it returns the last mean, with a RuntimeWarning if that was not
+    stable.
     """
     if not window > 0.0:
         raise PhysicsError("window must be positive")
@@ -556,6 +558,8 @@ def bohr_mean(g, window: float, tol: float = 1e-10, start: int = 1024, cap: int 
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
             return val
         if n >= cap:
+            message = f"bohr_mean hit the sample cap {cap} before tolerance {tol}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
             return val
         prev = val
         n *= 2

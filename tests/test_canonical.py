@@ -107,10 +107,14 @@ class TestBohrMeanDensity:
         spec = build_spectrum("custom", 3, levels=[0.0, 1.0, math.sqrt(2.0)])
         psi = random_state(3, 5)
         d = CanonicalDensity.from_state(spec, psi)
-        errors = [
-            abs(bohr_mean(lambda ts: density_at(d, ts), window) - 1.0)
-            for window in (50.0, 400.0, 3200.0)
-        ]
+
+        def error(window):
+            return abs(bohr_mean(lambda ts: density_at(d, ts), window) - 1.0)
+
+        errors = [error(50.0), error(400.0)]
+        # Over 3200 the midpoint mean is still moving by more than tol at the cap.
+        with pytest.warns(RuntimeWarning, match="sample cap"):
+            errors.append(error(3200.0))
         assert errors[2] < errors[0]
         assert errors[2] <= 0.01
 

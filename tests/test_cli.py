@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from timeobs import (
     random_state,
     weak_commutator,
 )
-from timeobs import serialize
+from timeobs import serialize, zeroset
 from timeobs.cli import EXIT_OK, EXIT_PARSE, EXIT_PHYSICS, main
 
 
@@ -103,12 +105,23 @@ class TestHappyPaths:
         )
         assert code == EXIT_OK
         lines = (out / "measure_scaling.csv").read_text().splitlines()
-        assert lines[0] == "epsilon,measure,error_bound"
+        assert lines[0] == "epsilon,measure,error_bound,converged"
         eps = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps == [0.1, 0.01]
+        assert [line.split(",")[3] for line in lines[1:]] == ["true", "true"]
         record = json.loads((out / "paley_wiener.json").read_text())
         assert record["converged"] is True
         assert math.isfinite(record["value"])
+
+    def test_zeroset_reports_a_step_cap_hit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(zeroset, "_CROSSING_STEPS", 1)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["zeroset", "-o", str(out), "--seed", "7", "--grid", "256"])
+        assert code == EXIT_OK
+        rows = (out / "measure_scaling.csv").read_text().splitlines()[1:]
+        assert "false" in [row.split(",")[3] for row in rows]
 
     def test_claims_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -177,6 +190,37 @@ class TestDeterminism:
             assert main(["tg", "-i", str(problem), "-o", str(out)]) == EXIT_OK
         for name in ("tg_matrix.json", "tg_diagnostics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec, matrix_digest, diagnostics_digest",
+        [
+            (
+                build_spectrum("harmonic", 24, omega=0.83),
+                "2816d7fe6a5d0000cf884ffca6fcc83d7dead0a4d5ac772b5b46daa6caed2958",
+                "72db5071d37e0916eb78263bd24e62a538e4c60f4740f6c2d1c47ebbb7f1b7f8",
+            ),
+            (
+                build_spectrum("box", 9, scale=0.3),
+                "c626922c013c98f474b664656f923e49e6ba3c996efcaba9cc2609fa58a10359",
+                "4b371d4480303563228f627035a19865eeaea0dad0ae0a36a79f57dadd335d89",
+            ),
+        ],
+        ids=["harmonic24", "box9"],
+    )
+    def test_tg_bytes_are_pinned(self, tmp_path, spec, matrix_digest, diagnostics_digest):
+        # sha256 of the artifacts before the sort-based float dedup and the
+        # tiled Hermiticity scan; a writer or operator change that moves one
+        # byte fails here.  tg_diagnostics.json holds spectral_norm, which
+        # comes from LAPACK's eigvalsh, so its digest is tied to that build.
+        problem = tmp_path / "problem.json"
+        serialize.dump_problem(problem, spec)
+        out = tmp_path / "out"
+        assert main(["tg", "-i", str(problem), "-o", str(out)]) == EXIT_OK
+        digests = [
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("tg_matrix.json", "tg_diagnostics.json")
+        ]
+        assert digests == [matrix_digest, diagnostics_digest]
 
     def test_density_csv_reparses_exactly(self, tmp_path):
         problem = _write_problem(tmp_path)

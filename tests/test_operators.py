@@ -91,6 +91,15 @@ class TestHamiltonian:
         ham = build_hamiltonian(build_spectrum("box", 3))
         assert ham.hermitian
 
+    @pytest.mark.parametrize("levels", [[-1.5, -0.0, 2.0], [-3.0, 0.0, 0.25, 7.0]])
+    def test_entries_bit_equal_complex_diag(self, levels):
+        spec = build_spectrum("custom", len(levels), levels=levels)
+        entries = build_hamiltonian(spec).entries
+        reference = np.diag(spec.levels).astype(complex)
+        np.testing.assert_array_equal(
+            entries.view(np.int64), reference.view(np.int64)
+        )
+
 
 class TestCommutator:
     def test_self_commutation_vanishes(self, two_level):
@@ -510,3 +519,54 @@ class TestOperatorMatrix:
     def test_rejects_false_hermitian_tag(self):
         with pytest.raises(DimensionError):
             OperatorMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), hermitian=True)
+
+    @pytest.mark.parametrize("n, j, k", [(6, 5, 2), (130, 129, 0), (130, 100, 70)])
+    def test_rejects_defect_in_lower_triangle_only(self, n, j, k):
+        entries = build_time_operator(build_spectrum("box", n)).entries.copy()
+        entries[j, k] += 1e-9
+        assert hermiticity_defect(entries) > operators.HERMITICITY_TOL
+        with pytest.raises(DimensionError):
+            OperatorMatrix(entries, hermitian=True)
+
+
+_SALTS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0)
+_TILE = operators._HERMITICITY_TILE
+_TILE_EDGES = sorted(
+    {m + d for m in (_TILE, 2 * _TILE, 3 * _TILE) for d in (-1, 0, 1)} | {1, 2}
+)
+
+
+@st.composite
+def _salted_squares(draw):
+    """Random or exactly Hermitian squares, salted with special values and
+    a single non-Hermitian entry in the upper, lower or last partial tile."""
+    n = draw(st.one_of(st.sampled_from(_TILE_EDGES), st.integers(1, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        a = a + a.conj().T
+    index = st.integers(0, n - 1)
+    salts = st.tuples(index, index, st.sampled_from(_SALTS), st.sampled_from(_SALTS))
+    for j, k, re, im in draw(st.lists(salts, max_size=4)):
+        a[j, k] = complex(re, im)
+    where = draw(st.sampled_from(("none", "upper", "lower", "last tile")))
+    if where != "none":
+        low = (n - 1) // _TILE * _TILE if where == "last tile" else 0
+        j, k = sorted(draw(st.tuples(st.integers(low, n - 1), st.integers(low, n - 1))))
+        if where == "lower":
+            j, k = k, j
+        a[j, k] += draw(st.sampled_from((1e-300, 1e-9, 1.0j)))
+    return a
+
+
+class TestHermiticityDefect:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_salted_squares())
+    def test_equals_dense_defect(self, a):
+        with np.errstate(invalid="ignore"):
+            reference = float(np.max(np.abs(a - a.conj().T)))
+            defect = hermiticity_defect(a)
+        if math.isnan(reference):
+            assert math.isnan(defect)
+        else:
+            assert defect == reference

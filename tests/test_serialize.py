@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from timeobs import (
     QuantumState,
@@ -30,6 +32,28 @@ def _salted_matrix(n: int, seed: int) -> np.ndarray:
     m[3, 3] = complex(-0.0, 0.0)
     m[5, 7] = complex(5e-324, -math.nan)
     return m
+
+
+_SPECIAL_DOUBLES = (
+    0.0,
+    -0.0,
+    math.nan,
+    -math.nan,
+    float(np.array(0x7FF8000000000001).view(np.float64)),  # NaN with a payload
+    math.inf,
+    -math.inf,
+    5e-324,
+    -2.225073858507201e-308,  # largest-magnitude negative subnormal
+)
+
+_VIEWS = {
+    "real": lambda z: z.real,
+    "imag": lambda z: z.imag,
+    "real.T": lambda z: z.real.T,
+    "imag strided": lambda z: z.imag[::2, ::-1],
+    "real row slice": lambda z: z.real[1::3],
+    "imag column": lambda z: z.imag[:, 0] if z.shape[1] else z.imag.ravel(),
+}
 
 
 class TestFormatting:
@@ -168,6 +192,31 @@ class TestWriteJsonByteIdentity:
         serialize.write_json(path, {"a": values})
         assert path.read_text(encoding="utf-8") == _reference_json({"a": values.tolist()})
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # one file, rewritten
+    )
+    @given(
+        pool=st.lists(
+            st.one_of(st.floats(), st.sampled_from(_SPECIAL_DOUBLES)), min_size=1, max_size=6
+        ),
+        shape=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        seed=st.integers(0, 2**32 - 1),
+        view=st.sampled_from(sorted(_VIEWS)),
+    )
+    def test_float_array_views_match_tolist(self, tmp_path, pool, shape, seed, view):
+        # A small pool of doubles gives heavy repeats; the views are non-contiguous.
+        rng = np.random.default_rng(seed)
+        pool = np.array(pool)
+        z = np.empty(shape, dtype=complex)
+        z.real = pool[rng.integers(0, pool.size, shape)]
+        z.imag = pool[rng.integers(0, pool.size, shape)]
+        values = _VIEWS[view](z)
+        path = tmp_path / "array.json"
+        serialize.write_json(path, {"a": values})
+        assert path.read_text(encoding="utf-8") == _reference_json({"a": values.tolist()})
+
     @pytest.mark.parametrize("bad", [np.arange(3), {(1, 2): 0.5}, {"x": object()}])
     def test_unserializable_raises_type_error(self, tmp_path, bad):
         with pytest.raises(TypeError):
@@ -230,3 +279,8 @@ class TestCsv:
         path = tmp_path / "table.csv"
         serialize.write_csv(path, ("N", "x"), [(4, 0.25)])
         assert path.read_text().splitlines()[1] == "4,0.25"
+
+    def test_booleans_are_lowercase_words(self, tmp_path):
+        path = tmp_path / "table.csv"
+        serialize.write_csv(path, ("x", "ok"), [(0.5, True), (1.0, False)])
+        assert path.read_text().splitlines()[1:] == ["0.5,true", "1,false"]

@@ -740,13 +740,24 @@ class TestBohrMean:
         def power(ts):
             return np.abs(eval_f(incommensurate_five, ts)) ** 2
 
-        errors = [abs(bohr_mean(power, w) - 1.0) for w in (100.0, 800.0, 6400.0)]
+        errors = [abs(bohr_mean(power, w) - 1.0) for w in (100.0, 800.0)]
+        # Over 6400 the midpoint mean is still moving by more than tol at the cap.
+        with pytest.warns(RuntimeWarning, match="sample cap"):
+            errors.append(abs(bohr_mean(power, 6400.0) - 1.0))
         assert errors[2] < errors[0]
         assert errors[2] <= 0.02
 
     def test_window_must_be_positive(self):
         with pytest.raises(PhysicsError):
             bohr_mean(np.cos, 0.0)
+
+    def test_cap_hit_warns_and_returns_last_mean(self):
+        # With cap == start the first mean is returned: there is nothing to compare it to.
+        with pytest.warns(RuntimeWarning, match="sample cap 1024 before tolerance") as caught:
+            value = bohr_mean(np.cos, 6.0 * math.pi, start=1024, cap=1024)
+        assert len(caught) == 1
+        ts = (np.arange(1024) + 0.5) * (6.0 * math.pi / 1024)
+        assert value == float(np.mean(np.cos(ts)))
 
 
 class TestPeriodicApproximation:

@@ -10,8 +10,6 @@ threshold, with a finite mean |log|f|| backing the measure-zero signature.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .canonical import verify_covariance
@@ -109,13 +107,13 @@ def _claim_iii(spectrum, state, grid, tau_max, epsilons) -> dict:
     base_grid = max(1000, int(grid))
     eps_sorted = sorted({float(e) for e in epsilons}, reverse=True)
     tail_eps = 1e-6 * sig.weight()
-    measured = [
-        _within_cap(sublevel_measure, sig, eps, window, base_grid=base_grid)
+    reports = [
+        sublevel_measure(sig, eps, window, base_grid=base_grid)
         for eps in [*eps_sorted, tail_eps]
     ]
-    fractions = [report.measure / window for report, _ in measured]
+    fractions = [report.measure / window for report in reports]
     tail_fraction = fractions.pop()
-    refined = all(ok for _, ok in measured)
+    refined = all(report.converged for report in reports)
 
     fine, panels, rel_change, converged = paley_wiener_convergence(sig, window, grid)
     return {
@@ -136,27 +134,13 @@ def paley_wiener_convergence(sig: TrigSignal, window: float, grid: int):
     """Mean |log|f|| at grid // 4 (at least 100) panels and at twice that.
 
     Returns the fine value, the fine panel count, the relative change between
-    the two, and whether that change is within PW_STABILITY_TOL with neither
-    integral at a level or step cap.
+    the two, and whether that change is within PW_STABILITY_TOL with both
+    integrals converged.
     """
     panels = max(100, int(grid) // 4)
-    coarse, coarse_ok = _within_cap(paley_wiener_integral, sig, window, panels)
-    fine, fine_ok = _within_cap(paley_wiener_integral, sig, window, 2 * panels)
-    rel_change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    converged = rel_change <= PW_STABILITY_TOL and coarse_ok and fine_ok
-    return fine, 2 * panels, rel_change, bool(converged)
+    coarse = paley_wiener_integral(sig, window, panels)
+    fine = paley_wiener_integral(sig, window, 2 * panels)
+    rel_change = abs(fine.value - coarse.value) / max(abs(fine.value), 1e-300)
+    converged = rel_change <= PW_STABILITY_TOL and coarse.converged and fine.converged
+    return fine.value, 2 * panels, rel_change, bool(converged)
 
-
-def _within_cap(compute, *args, **kwargs):
-    """compute(*args, **kwargs), and False in place of the RuntimeWarning of a cap hit.
-
-    Other warnings pass through.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        value = compute(*args, **kwargs)
-    capped = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    for w in caught:
-        if w not in capped:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return value, not capped

@@ -43,6 +43,45 @@ DEFAULT_EPSILONS = claims_mod.DEFAULT_EPSILONS
 _DEFAULT_LEVELS = 8
 _MAX_CAUCHY_N = 512
 
+# Each flag's argparse names and options; dest is its RunConfig field.
+_FLAGS = {
+    "input": (
+        ("--input", "-i"),
+        dict(dest="input_path", metavar="INPUT", help="problem JSON path"),
+    ),
+    "output": (
+        ("--output", "-o"),
+        dict(
+            dest="output_path",
+            metavar="OUTPUT",
+            required=True,
+            help="output directory for artifacts",
+        ),
+    ),
+    "grid": (("--grid",), dict(type=int, help="grid points / cells")),
+    "tau-max": (("--tau-max",), dict(type=float, help="scan horizon")),
+    "eps": (
+        ("--eps",),
+        dict(
+            dest="epsilons",
+            metavar="EPS",
+            type=float,
+            action="append",
+            help="sublevel threshold (repeatable)",
+        ),
+    ),
+    "seed": (("--seed",), dict(type=int, help="random-state seed")),
+    "target": (("--target",), dict(type=int, help="eigenstate index")),
+}
+# The flags each command reads.
+_COMMAND_FLAGS = {
+    "tg": ("input", "output"),
+    "canonical": ("input", "output", "grid", "tau-max", "seed"),
+    "cauchy": ("output", "grid", "target"),
+    "zeroset": ("input", "output", "grid", "tau-max", "eps", "seed"),
+    "claims": ("input", "output", "grid", "tau-max", "eps", "seed"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,39 +126,20 @@ def build_parser() -> argparse.ArgumentParser:
         "claims": "run the full demonstration suite",
     }
     for name in COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
-        cmd.add_argument("--input", "-i", default=None, help="problem JSON path")
-        cmd.add_argument(
-            "--output", "-o", required=True, help="output directory for artifacts"
-        )
-        cmd.add_argument("--grid", type=int, default=1000, help="grid points / cells")
-        cmd.add_argument("--tau-max", type=float, default=10.0, help="scan horizon")
-        cmd.add_argument(
-            "--eps",
-            type=float,
-            action="append",
-            default=None,
-            help="sublevel threshold (repeatable)",
-        )
-        cmd.add_argument("--seed", type=int, default=0, help="random-state seed")
-        cmd.add_argument("--target", type=int, default=0, help="eigenstate index")
+        # A flag left out keeps the RunConfig default.
+        cmd = sub.add_parser(name, help=descriptions[name], argument_default=argparse.SUPPRESS)
+        for flag in _COMMAND_FLAGS[name]:
+            names, options = _FLAGS[flag]
+            cmd.add_argument(*names, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    if "epsilons" in options:
+        options["epsilons"] = tuple(options["epsilons"])
     try:
-        config = RunConfig(
-            command=ns.command,
-            input_path=ns.input,
-            output_path=ns.output,
-            grid=ns.grid,
-            tau_max=ns.tau_max,
-            epsilons=tuple(ns.eps) if ns.eps else DEFAULT_EPSILONS,
-            seed=ns.seed,
-            target=ns.target,
-        )
-        return run(config)
+        return run(RunConfig(**options))
     except PhysicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
@@ -217,10 +237,8 @@ def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
     base_grid = max(1000, config.grid)
     rows = []
     for eps in sorted(set(config.epsilons), reverse=True):
-        report, converged = claims_mod._within_cap(
-            sublevel_measure, sig, eps, window, base_grid=base_grid
-        )
-        rows.append((report.epsilon, report.measure, report.error_bound, converged))
+        report = sublevel_measure(sig, eps, window, base_grid=base_grid)
+        rows.append((report.epsilon, report.measure, report.error_bound, report.converged))
     serialize.write_csv(
         out_dir / "measure_scaling.csv",
         ("epsilon", "measure", "error_bound", "converged"),

@@ -14,11 +14,16 @@ from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
 |f| reach the threshold in its cells.  Crossings and extrema are refined by
 safeguarded Newton inside their brackets, with f, f' and f'' from one phase
 block per point, and a sublevel measure is summed from the sides on which
-its crossing brackets start.  Brackets still open at a step cap raise a
-RuntimeWarning.  The mean-log integral is lockstep adaptive Gauss-Legendre
-quadrature with the zeros as panel edges and each zero's log singularity
-integrated in closed form.  Its nodes share the scan's phase-table product:
-the panels of one width sample f at the same offsets from their left ends.
+its crossing brackets start.  The mean-log integral is lockstep adaptive
+Gauss-Legendre quadrature with the zeros as panel edges and each zero's log
+singularity integrated in closed form.  Its nodes share the scan's
+phase-table product: the panels of one width sample f at the same offsets
+from their left ends.
+
+Convergence is returned, not warned: a bracket still open at a refinement
+step cap, or a panel still open at the quadrature level cap, makes the
+`converged` flag of MeasureReport or PaleyWienerReport false.  find_zeros,
+which returns a bare list, is the one routine that warns at its step cap.
 """
 
 from __future__ import annotations
@@ -132,7 +137,9 @@ class _Jet:
 class MeasureReport:
     """Sublevel-measure estimate lambda{t in [0, window] : |f(t)| < epsilon}.
 
-    refinement_depth is the number of lockstep steps the crossing refinement took.
+    refinement_depth is the number of lockstep steps the crossing refinement
+    took; converged is false when a crossing or extremum bracket was still
+    open at its step cap.
     """
 
     epsilon: float
@@ -140,6 +147,7 @@ class MeasureReport:
     measure: float
     refinement_depth: int
     error_bound: float
+    converged: bool
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -229,13 +237,6 @@ def _open(lo, hi) -> np.ndarray:
     return hi - lo > np.maximum(BISECTION_TOL, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
 
 
-def _warn_cap(still_open: int, kind: str, cap: int) -> None:
-    """RuntimeWarning for brackets still open at a step cap, attributed to the refiner's caller."""
-    if still_open:
-        message = f"{still_open} {kind} brackets hit the step cap {cap}"
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
     """Lockstep safeguarded Newton on brackets [lo, hi] until each is closed.
 
@@ -271,16 +272,15 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
     return lo, hi, steps, live.size
 
 
-def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int]:
+def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int, int]:
     """Crossings of |f| = shift on all brackets [lo, hi] in lockstep, to BISECTION_TOL.
 
     inside_lo flags brackets whose left end lies in {|f| < shift}.  Newton runs
     on |f| - shift (d|f|/dt = Re(conj(f) f') / |f|, so it is exact where |f|
     is linear in t, as next to a simple zero), and every iterate replaces the
     bracket end on its side of the crossing, so each crossing keeps
-    bisection's guarantee.  Returns the final midpoints and the lockstep step
-    count; brackets still open after _CROSSING_STEPS steps raise a
-    RuntimeWarning.
+    bisection's guarantee.  Returns the final midpoints, the lockstep step
+    count and how many brackets were still open after _CROSSING_STEPS steps.
     """
 
     def probe(live, x, jet):
@@ -290,8 +290,7 @@ def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.nda
         return to_lo, (absf - shift) * absf / (f.real * f1.real + f.imag * f1.imag)
 
     lo, hi, steps, still_open = _newton(sig, lo, hi, probe, _CROSSING_STEPS)
-    _warn_cap(still_open, "crossing", _CROSSING_STEPS)
-    return 0.5 * (lo + hi), steps
+    return 0.5 * (lo + hi), steps, still_open
 
 
 def _extrema(sig: TrigSignal, a, b, sign, shift: float):
@@ -300,8 +299,8 @@ def _extrema(sig: TrigSignal, a, b, sign, shift: float):
     Newton on s = sign * d|f|^2/dt (s' = 2 sign (|f'|^2 + Re(conj(f) f'')))
     returns the best point it probed, the two bracket ends included, so a
     bracket whose minimum sits at an end returns that end.  Returns the
-    minimizers and the signed minimum values; brackets still open after
-    _EXTREMUM_STEPS steps raise a RuntimeWarning.
+    minimizers, the signed minimum values and how many brackets were still
+    open after _EXTREMUM_STEPS steps.
     """
     ends = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([a, b]))) - shift)
     v_a, v_b = np.split(ends, 2)
@@ -318,8 +317,7 @@ def _extrema(sig: TrigSignal, a, b, sign, shift: float):
         return slope < 0.0, slope / curve
 
     *_, still_open = _newton(sig, a, b, probe, _EXTREMUM_STEPS)
-    _warn_cap(still_open, "extremum", _EXTREMUM_STEPS)
-    return best_t, best_v
+    return best_t, best_v, still_open
 
 
 def sublevel_measure(
@@ -336,8 +334,8 @@ def sublevel_measure(
     nodes).  The measure sums the intervals between sorted crossings whose
     crossing bracket starts inside the set.  The error bound is the cell
     width times the count of cells that passed the chord screen but produced
-    no refined feature.
-    Brackets still open at a refinement step cap raise a RuntimeWarning.
+    no refined feature.  The report is not converged when a crossing or
+    extremum bracket is still open at its refinement step cap.
     """
     if not epsilon > 0.0:
         raise PhysicsError("epsilon must be positive")
@@ -350,7 +348,7 @@ def sublevel_measure(
         warnings.warn(
             "threshold at or above max|f|; the whole window qualifies", stacklevel=2
         )
-        return MeasureReport(epsilon, window, window, 0, 0.0)
+        return MeasureReport(epsilon, window, window, 0, 0.0, True)
 
     ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
@@ -367,13 +365,13 @@ def sublevel_measure(
     rises = rises[may_rise[rises - 1] | may_rise[rises]]
     ext = np.concatenate([dips, rises])
     sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
-    t_ext, v_ext = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
+    t_ext, v_ext, ext_open = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
     hit = v_ext < 0.0
     ext, t_ext, g_ext = ext[hit], t_ext[hit], (sign * v_ext)[hit]
 
     # The right half of a split extremum starts at t_ext: inside for a dip.
     inside_lo = np.concatenate([below[cross], below[ext - 1], g_ext < 0.0])
-    crossings, depth = _crossings(
+    crossings, depth, cross_open = _crossings(
         sig,
         np.concatenate([ts[cross], ts[ext - 1], t_ext]),
         np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
@@ -394,7 +392,8 @@ def sublevel_measure(
     same_sign = below[:-1] == below[1:]
     suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
     error_bound = h * suspicious + BISECTION_TOL * crossings.size
-    return MeasureReport(epsilon, float(window), measure, depth, error_bound)
+    converged = ext_open == 0 and cross_open == 0
+    return MeasureReport(epsilon, float(window), measure, depth, error_bound, converged)
 
 
 def _merge_tol(window: float) -> float:
@@ -416,12 +415,23 @@ def find_zeros(
     """
     if not window > 0.0:
         raise PhysicsError("window must be positive")
-    w = sig.weight()
-    if w == 0.0:
+    if sig.weight() == 0.0:
         raise ZeroSignalError("signal is identically zero")
-    if zero_tol is None:
-        zero_tol = 1e-10 * w
+    zeros, still_open = _zeros(sig, window, base_grid, zero_tol)
+    if still_open:
+        message = f"{still_open} extremum brackets hit the step cap {_EXTREMUM_STEPS}"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return zeros
 
+
+def _zeros(sig: TrigSignal, window: float, base_grid: int, zero_tol: float | None = None):
+    """The zeros of find_zeros, without its checks, and the open bracket count.
+
+    The count is of extremum brackets still open at the step cap; zero_tol
+    defaults to 1e-10 sum|c_j|.
+    """
+    if zero_tol is None:
+        zero_tol = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
     # Padding with +inf lets the window ends count as one-sided minima.
@@ -431,13 +441,13 @@ def find_zeros(
     # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
     keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_tol
     lo, hi = lo[keep], hi[keep]
-    t_min, f_min = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
+    t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
     zeros = np.sort(np.clip(t_min[f_min <= zero_tol], 0.0, float(window))).tolist()
     merged: list[float] = []
     for z in zeros:
         if not merged or z - merged[-1] > _merge_tol(window):
             merged.append(z)
-    return merged
+    return merged, still_open
 
 
 def _log(x):
@@ -488,18 +498,31 @@ def _panel_rules(sig: TrigSignal, rows: np.ndarray, absolute: bool) -> np.ndarra
     return half * (integrand @ weights) + exact
 
 
+@dataclass(frozen=True)
+class PaleyWienerReport:
+    """Window-averaged mean-log integral and whether it converged.
+
+    converged is false when a panel was still open at the level cap or a
+    zero-search bracket at its step cap.
+    """
+
+    value: float
+    converged: bool
+
+
 def paley_wiener_integral(
     sig: TrigSignal, window: float, panels: int = 256, absolute: bool = True
-) -> float:
+) -> PaleyWienerReport:
     """Window-averaged integral of |log|f|| (log|f| when absolute=False).
 
     Lockstep adaptive Gauss-Legendre quadrature of order 12 over `panels`
-    uniform panels plus the zeros from find_zeros as edges, with each zero's
-    log singularity integrated in closed form.  Each level evaluates every open
-    panel and its two halves with one _phase_product per panel width; a panel
-    is accepted when the two estimates agree to PANEL_TOL and halved otherwise.
-    After 40 levels the open panels keep their halves' sum and a RuntimeWarning
-    reports the cap.
+    uniform panels plus the zeros of find_zeros (via _zeros) as edges, with each
+    zero's log singularity integrated in closed form.  Each level evaluates
+    every open panel and its two halves with one _phase_product per panel
+    width; a panel is accepted when the two estimates agree to PANEL_TOL and
+    halved otherwise.  After 40 levels the open panels keep their halves'
+    sum.  The report is not converged when the level cap or the zero search's
+    step cap was hit.
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
     """
@@ -512,7 +535,8 @@ def paley_wiener_integral(
 
     window, panels = float(window), int(panels)
     grid = np.linspace(0.0, window, panels + 1)
-    zeros = np.asarray(find_zeros(sig, window, base_grid=max(1000, 4 * panels)))
+    zeros, zeros_open = _zeros(sig, window, max(1000, 4 * panels))
+    zeros = np.asarray(zeros)
     # A zero within the merge tolerance of a uniform edge is taken to lie on it.
     k = np.rint(zeros * (panels / window)).astype(int)
     zeros = np.where(np.abs(grid[k] - zeros) <= _merge_tol(window), grid[k], zeros)
@@ -533,36 +557,9 @@ def paley_wiener_integral(
         mid, none = a + 0.5 * (b - a), np.zeros_like(a)
         left, right = [a, mid, zero_a, none], [mid, b, none, zero_b]
         rows = np.concatenate([np.column_stack(left), np.column_stack(right)])
-    if rows.size:
-        message = f"{pending.size} Paley-Wiener panels hit the level cap {_MAX_LEVELS}"
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-        total += float(np.sum(pending))
-    return total / window
-
-
-def bohr_mean(g, window: float, tol: float = 1e-10, start: int = 1024, cap: int = 2**21) -> float:
-    """Window average of a vectorized function g over [0, window].
-
-    Midpoint sampling with doubling until stable; exact (up to quadrature
-    tolerance) over whole periods of commensurate frequencies.  At `cap`
-    samples it returns the last mean, with a RuntimeWarning if that was not
-    stable.
-    """
-    if not window > 0.0:
-        raise PhysicsError("window must be positive")
-    n = int(start)
-    prev = None
-    while True:
-        ts = (np.arange(n) + 0.5) * (float(window) / n)
-        val = float(np.mean(np.asarray(g(ts), dtype=float)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        if n >= cap:
-            message = f"bohr_mean hit the sample cap {cap} before tolerance {tol}"
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-            return val
-        prev = val
-        n *= 2
+    # Panels still open at the level cap keep their halves' sum.
+    total += float(np.sum(pending))
+    return PaleyWienerReport(total / window, zeros_open == 0 and rows.size == 0)
 
 
 def _convergent_within(x: float, tol_abs: float, max_den: int) -> tuple[int, int, float]:

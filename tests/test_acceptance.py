@@ -183,11 +183,13 @@ def test_criterion_7_finite_dimension_remark():
 def test_criterion_8_sublevel_measure_scaling():
     sig = TrigSignal(np.array([0.5, 1.5]), np.array([1.0, 1.0]) / math.sqrt(2.0))
     closed = 4.0 * math.asin(0.1 / math.sqrt(2.0))
-    measured = sublevel_measure(sig, 0.1, TWO_PI).measure
+    report = sublevel_measure(sig, 0.1, TWO_PI)
+    measured = report.measure
     ok_value = abs(measured - closed) <= 1e-3
 
     eps = np.array([1e-2, 1e-3, 1e-4])
-    ms = np.array([sublevel_measure(sig, float(e), TWO_PI).measure for e in eps])
+    ladder = [sublevel_measure(sig, float(e), TWO_PI) for e in eps]
+    ms = np.array([r.measure for r in ladder])
     slope = float(np.sum(ms * eps) / np.sum(eps * eps))
     ok_slope = abs(slope - 2.0 * math.sqrt(2.0)) <= 0.02 * 2.0 * math.sqrt(2.0)
 
@@ -195,8 +197,9 @@ def test_criterion_8_sublevel_measure_scaling():
     sig5 = TrigSignal(freqs, random_state(5, 8).coeffs)
     tail = sublevel_measure(sig5, 1e-6 * sig5.weight(), TWO_PI)
     ok_tail = tail.measure / TWO_PI <= 1e-4
+    ok_converged = all(r.converged for r in [report, *ladder, tail])
 
-    ok = ok_value and ok_slope and ok_tail
+    ok = ok_value and ok_slope and ok_tail and ok_converged
     _report(
         8,
         ok,
@@ -209,15 +212,18 @@ def test_criterion_8_sublevel_measure_scaling():
 
 def test_criterion_9_mean_log_integral():
     sig = TrigSignal(np.array([0.5, 1.5]), np.array([1.0, 1.0]) / math.sqrt(2.0))
-    signed = paley_wiener_integral(sig, TWO_PI, 256, absolute=False)
+    reports = [
+        paley_wiener_integral(sig, TWO_PI, 256, absolute=False),
+        paley_wiener_integral(sig, TWO_PI, 256),
+        paley_wiener_integral(sig, TWO_PI, 512),
+    ]
+    signed, coarse, fine = (r.value for r in reports)
     ok_signed = abs(signed - (-0.5 * math.log(2.0))) <= 1e-4
 
-    coarse = paley_wiener_integral(sig, TWO_PI, 256)
-    fine = paley_wiener_integral(sig, TWO_PI, 512)
     rel = abs(fine - coarse) / abs(fine)
     ok_stable = rel <= 1e-5
 
-    ok = ok_signed and ok_stable
+    ok = ok_signed and ok_stable and all(r.converged for r in reports)
     _report(
         9,
         ok,

@@ -175,6 +175,15 @@ class TestFailurePaths:
         code = main(["zeroset", "-o", str(tmp_path / "o"), "--eps", "-0.5"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv", [["tg", "--eps", "0.1"], ["cauchy", "--input", "x"]], ids=["tg-eps", "cauchy-input"]
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        # Each command registers only the flags it reads; argparse rejects the rest.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_PARSE
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -221,6 +230,46 @@ class TestDeterminism:
             for name in ("tg_matrix.json", "tg_diagnostics.json")
         ]
         assert digests == [matrix_digest, diagnostics_digest]
+
+    @pytest.mark.parametrize(
+        "spec, args, digests",
+        [
+            (
+                None,
+                ["--seed", "7", "--grid", "256"],
+                {
+                    "claims.json": "61888f9d1760897d14223dfe5bdadd5531fe1f9a3f4dff1d3e8ed600ab613ffe",
+                    "measure_scaling.csv": "1efc5b6088faafc01b3cfdbaf1367de4293d1bcdfd9bc25bc08c16ccd1e1b194",
+                    "paley_wiener.json": "0743205d8fd464803cd279698637f81c9fac4f87bd3992a71db0bd76ecb1d8a9",
+                },
+            ),
+            (
+                build_spectrum("box", 16),
+                ["--grid", "512"],
+                {
+                    "claims.json": "0b0bed6b8a3403c8362460faf787498610abc301460c90732bc9dea1e8590114",
+                    "measure_scaling.csv": "60f23c55f5436ad5f92a7848953c36436c51fe158410c95343968e1464c4d03b",
+                    "paley_wiener.json": "a1e3d0520745396b23306c36ad135d9e6242e471c949100da84a622d5d4fdd87",
+                },
+            ),
+        ],
+        ids=["harmonic8", "box16"],
+    )
+    def test_claims_and_zeroset_bytes_are_pinned(self, tmp_path, spec, args, digests):
+        # sha256 of the artifacts before the convergence flags moved from
+        # warnings into the returned reports; the default problem is harmonic
+        # N = 8.  claims.json holds spectral_norm, which comes from LAPACK's
+        # eigvalsh, so its digest is tied to that build.
+        argv = [*args]
+        if spec is not None:
+            problem = tmp_path / "problem.json"
+            serialize.dump_problem(problem, spec)
+            argv += ["-i", str(problem)]
+        out = tmp_path / "out"
+        assert main(["claims", *argv, "-o", str(out)]) == EXIT_OK
+        assert main(["zeroset", *argv, "-o", str(out)]) == EXIT_OK
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
 
     def test_density_csv_reparses_exactly(self, tmp_path):
         problem = _write_problem(tmp_path)

@@ -47,14 +47,11 @@ class CanonicalDensity:
         object.__setattr__(self, "gamma", float(self.gamma))
 
     @classmethod
-    def from_state(
-        cls, spectrum: EnergySpectrum, state: QuantumState, gamma: float | None = None
-    ) -> "CanonicalDensity":
+    def from_state(cls, spectrum: EnergySpectrum, state: QuantumState) -> "CanonicalDensity":
+        """The density of a state, with gamma = normalized_gamma(state.coeffs)."""
         if state.size != spectrum.size:
             raise DimensionError("state length does not match spectrum length")
-        if gamma is None:
-            gamma = normalized_gamma(state.coeffs)
-        return cls(spectrum, state.coeffs, gamma)
+        return cls(spectrum, state.coeffs, normalized_gamma(state.coeffs))
 
 
 def density_at(density: CanonicalDensity, t):

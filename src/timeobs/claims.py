@@ -21,9 +21,8 @@ from .operators import (
     spectral_norm,
 )
 from .spectral import (
-    DEFAULT_CONFIG,
+    MEMBERSHIP_TOL,
     EnergySpectrum,
-    PhysicsConfig,
     QuantumState,
     in_zero_sum_subspace,
 )
@@ -43,18 +42,17 @@ def run_claims(
     grid: int = 512,
     tau_max: float = 10.0,
     epsilons=DEFAULT_EPSILONS,
-    config: PhysicsConfig = DEFAULT_CONFIG,
 ) -> dict:
-    """Run all three demonstrations and return a pass/fail summary."""
+    """Run all three demonstrations and return a pass/fail summary.
+
+    Claims (ii) and (iii) use the state itself when it passes the zero-sum
+    membership test (|sum_j c_j| <= MEMBERSHIP_TOL), else its projection.
+    """
     grid = max(int(grid), 2)
-    zero_sum_state = (
-        state
-        if in_zero_sum_subspace(state, config.membership_tolerance)
-        else project_to_zero_sum(state)
-    )
+    zero_sum_state = state if in_zero_sum_subspace(state) else project_to_zero_sum(state)
     summary = {
         "claim_i": _claim_i(spectrum, state, grid, tau_max),
-        "claim_ii": _claim_ii(spectrum, zero_sum_state, grid, tau_max, config),
+        "claim_ii": _claim_ii(spectrum, zero_sum_state, grid, tau_max),
         "claim_iii": _claim_iii(spectrum, zero_sum_state, grid, tau_max, epsilons),
     }
     summary["all_demonstrated"] = all(
@@ -86,13 +84,11 @@ def _claim_i(spectrum, state, grid, tau_max) -> dict:
     }
 
 
-def _claim_ii(spectrum, state, grid, tau_max, config) -> dict:
+def _claim_ii(spectrum, state, grid, tau_max) -> dict:
     taus = np.linspace(0.0, tau_max, grid)
-    series = membership_decay(
-        spectrum, state, taus, tol=config.membership_tolerance
-    )
+    series = membership_decay(spectrum, state, taus)
     max_value = float(np.max(series.values))
-    threshold = 10.0 * config.membership_tolerance
+    threshold = 10.0 * MEMBERSHIP_TOL
     return {
         "demonstrated": bool(max_value > threshold),
         "max_membership_value": max_value,

@@ -3,8 +3,9 @@
 Commands: tg (time-operator matrix + commutator diagnostics), canonical
 (density samples + covariance record), cauchy (convergence ladder), zeroset
 (sublevel-measure scaling + mean-log record), claims (full demonstration
-suite).  Exit codes: 0 success, 2 unreadable/malformed input, 3 physics
-precondition violation.
+suite).  Exit codes: 0 success, 2 unreadable/malformed input or an invalid
+option (such as a cauchy ladder with no rung), 3 physics precondition
+violation (including a non-finite level, hbar or state coefficient).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .operators import (
     weak_commutator,
 )
 from .rng import random_state
-from .spectral import DEFAULT_CONFIG, EnergySpectrum, QuantumState, build_spectrum
+from .spectral import EnergySpectrum, QuantumState, build_spectrum
 from .zeroset import TrigSignal, sublevel_measure
 
 EXIT_OK = 0
@@ -217,15 +218,19 @@ def _cmd_canonical(config: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_cauchy(config: RunConfig, out_dir: Path) -> None:
-    max_n = min(max(config.grid, 1), _MAX_CAUCHY_N)
+    """One row per power of two N with max(target, 1) <= N <= min(grid, 512)."""
+    lo, hi = max(config.target, 1), min(config.grid, _MAX_CAUCHY_N)
+    ladder = [2**k for k in range(hi.bit_length()) if 2**k >= lo]
+    if not ladder:
+        raise ValueError(
+            f"no power of two N with max(target, 1) = {lo} <= N <= {hi}"
+            f" = min(grid, {_MAX_CAUCHY_N})"
+        )
     rows = []
-    n = 1
-    while n <= max_n:
-        if n >= max(config.target, 1):
-            step = cauchy_state(n, target=config.target)
-            leading = float(step.state.coeffs[config.target].real)
-            rows.append((n, leading, distance_to_eigenstate(step, config.target)))
-        n *= 2
+    for n in ladder:
+        step = cauchy_state(n, target=config.target)
+        leading = float(step.state.coeffs[config.target].real)
+        rows.append((n, leading, distance_to_eigenstate(step, config.target)))
     serialize.write_csv(out_dir / "convergence.csv", ("N", "c0", "distance"), rows)
     print(f"wrote {out_dir / 'convergence.csv'}")
 
@@ -258,7 +263,6 @@ def _cmd_claims(config: RunConfig, out_dir: Path) -> None:
         grid=config.grid,
         tau_max=config.tau_max,
         epsilons=config.epsilons,
-        config=DEFAULT_CONFIG,
     )
     document = {
         "seed": config.seed,

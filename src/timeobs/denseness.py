@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionError
 from .spectral import QuantumState, coefficient_sum
 
-PARTIAL_SUM_TOL = 1e-14
 STEP_TOL = 1e-13
 
 
@@ -43,19 +42,14 @@ def leading_coefficient(n: int) -> float:
 
 @dataclass(frozen=True)
 class CauchyStep:
-    """One member of the sequence: index n, its partial sums, a state of length n+1."""
+    """Index n and its zero-sum unit state of length n+1; see harmonic_partial_sums(n)."""
 
     n: int
-    h: float
-    sigma: float
     state: QuantumState
 
     def __post_init__(self):
         if int(self.n) < 1:
             raise DimensionError("sequence index n must be at least 1")
-        href, sref = harmonic_partial_sums(self.n)
-        if abs(self.h - href) > PARTIAL_SUM_TOL or abs(self.sigma - sref) > PARTIAL_SUM_TOL:
-            raise DimensionError("partial sums do not match their defining series")
         if self.state.size != self.n + 1:
             raise DimensionError("state must have length n + 1")
         if abs(coefficient_sum(self.state)) > STEP_TOL:
@@ -83,7 +77,7 @@ def cauchy_state(n: int, target: int = 0) -> CauchyStep:
     t = int(target)
     if t:
         coeffs[[0, t]] = coeffs[[t, 0]]
-    return CauchyStep(n=n, h=h, sigma=sigma, state=QuantumState(coeffs))
+    return CauchyStep(n=n, state=QuantumState(coeffs))
 
 
 def distance_to_eigenstate(step: CauchyStep, target: int = 0) -> float:
@@ -136,7 +130,7 @@ def zero_sum_projector(n: int) -> np.ndarray:
     return np.eye(int(n)) - np.outer(u, u)
 
 
-def zero_sum_projector_rank(n: int, tol: float = 1e-10) -> int:
-    """Count of unit eigenvalues of the zero-sum projector; equals n - 1."""
+def zero_sum_projector_rank(n: int) -> int:
+    """Count of eigenvalues of the zero-sum projector within 1e-10 of 1; equals n - 1."""
     evals = np.linalg.eigvalsh(zero_sum_projector(n))
-    return int(np.sum(np.abs(evals - 1.0) <= tol))
+    return int(np.sum(np.abs(evals - 1.0) <= 1e-10))

@@ -211,21 +211,17 @@ def covariance_deviation(
     return DeviationSeries(taus, expect - base - taus)
 
 
-def membership_decay(
-    spectrum: EnergySpectrum,
-    state: QuantumState,
-    taus,
-    tol: float = MEMBERSHIP_TOL,
-) -> DeviationSeries:
+def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> DeviationSeries:
     """|sum_j c_j e^{-i E_j tau / hbar}| over the grid, for a zero-sum state.
 
-    Values above ~10x the membership tolerance show the subspace is not
-    invariant under evolution: membership at tau=0 is lost at later times.
+    The state must pass the membership test |sum_j c_j| <= MEMBERSHIP_TOL.
+    Values above ~10x that tolerance show the subspace is not invariant under
+    evolution: membership at tau=0 is lost at later times.
     """
     s0 = abs(coefficient_sum(state))
-    if s0 > tol:
+    if s0 > MEMBERSHIP_TOL:
         raise MembershipError(
-            f"initial state has |coefficient sum| {s0:.3e} above tolerance {tol}"
+            f"initial state has |coefficient sum| {s0:.3e} above tolerance {MEMBERSHIP_TOL}"
         )
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:

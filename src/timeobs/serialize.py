@@ -257,9 +257,9 @@ def _key_text(key) -> str:
     return json.dumps(key)
 
 
-def dump_series(path, series, header: Sequence[str] = ("tau", "value")) -> None:
-    """DeviationSeries (or any taus/values pair) as two-column CSV."""
-    write_csv(path, header, zip(series.taus, series.values))
+def dump_series(path, series) -> None:
+    """DeviationSeries (or any taus/values pair) as CSV with columns tau, value."""
+    write_csv(path, ("tau", "value"), zip(series.taus, series.values))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

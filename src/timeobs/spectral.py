@@ -1,8 +1,11 @@
 """Spectra, states, and phase evolution in the energy eigenbasis.
 
 Everything downstream consumes these types: a spectrum is a finite, strictly
-increasing list of nondegenerate levels (a truncation of the physical system),
-and a state is a unit-norm complex coefficient vector over that eigenbasis.
+increasing list of nondegenerate levels (a truncation of the physical system)
+with a positive hbar, and a state is a unit-norm complex coefficient vector
+over that eigenbasis.  Every level, hbar and coefficient is a finite number.
+Membership of the zero-sum subspace is the fixed test
+|sum_j c_j| <= MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ class EnergySpectrum:
         levels = np.asarray(self.levels, dtype=float)
         if levels.ndim != 1 or levels.size < 2:
             raise DimensionError("a spectrum needs at least two levels")
+        if not np.all(np.isfinite(levels)):
+            raise PhysicsError("energy levels must be finite")
         if not np.all(np.diff(levels) > 0.0):
             raise DegeneracyError("energy levels must be strictly increasing")
-        if not self.hbar > 0.0:
-            raise PhysicsError("hbar must be positive")
+        if not 0.0 < self.hbar < math.inf:
+            raise PhysicsError("hbar must be positive and finite")
         object.__setattr__(self, "levels", _frozen(levels, float))
         object.__setattr__(self, "hbar", float(self.hbar))
 
@@ -70,8 +75,10 @@ class QuantumState:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise DimensionError("state coefficients must form a nonempty vector")
+        if not np.all(np.isfinite(coeffs)):
+            raise NormalizationError("state coefficients must be finite")
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise NormalizationError(
                 f"squared norm {norm_sq!r} deviates from 1 by more than {NORM_TOL}"
             )
@@ -89,20 +96,6 @@ class QuantumState:
     @property
     def size(self) -> int:
         return int(self.coeffs.size)
-
-
-@dataclass(frozen=True)
-class PhysicsConfig:
-    """Numeric conventions: the tolerance of the zero-sum membership test."""
-
-    membership_tolerance: float = MEMBERSHIP_TOL
-
-    def __post_init__(self):
-        if not self.membership_tolerance > 0.0:
-            raise PhysicsError("membership_tolerance must be strictly positive")
-
-
-DEFAULT_CONFIG = PhysicsConfig()
 
 
 def build_spectrum(
@@ -154,13 +147,13 @@ def evolve(state: QuantumState, spectrum: EnergySpectrum, tau: float) -> Quantum
 def coefficient_sum(state: QuantumState) -> complex:
     """Exactly rounded sum of the coefficients.
 
-    |coefficient_sum| <= membership tolerance defines membership in the
-    zero-sum subspace on which the commutation relation holds.
+    |coefficient_sum| <= MEMBERSHIP_TOL defines membership in the zero-sum
+    subspace on which the commutation relation holds.
     """
     c = state.coeffs
     return complex(math.fsum(c.real.tolist()), math.fsum(c.imag.tolist()))
 
 
-def in_zero_sum_subspace(state: QuantumState, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Tolerance test |sum_j c_j| <= tol; exact zero is unattainable in floats."""
-    return abs(coefficient_sum(state)) <= tol
+def in_zero_sum_subspace(state: QuantumState) -> bool:
+    """Tolerance test |sum_j c_j| <= MEMBERSHIP_TOL; exact zero is unattainable in floats."""
+    return abs(coefficient_sum(state)) <= MEMBERSHIP_TOL

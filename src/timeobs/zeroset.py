@@ -58,7 +58,7 @@ _EXTREMUM_STEPS = 200  # lockstep steps of _extrema before the step cap
 
 @dataclass(frozen=True)
 class TrigSignal:
-    """Finite trigonometric sum: strictly increasing frequencies, complex amplitudes."""
+    """Trigonometric sum: strictly increasing frequencies, complex amplitudes, all finite."""
 
     freqs: np.ndarray
     amps: np.ndarray
@@ -70,6 +70,8 @@ class TrigSignal:
             raise DimensionError("signal needs at least one frequency")
         if amps.shape != freqs.shape:
             raise DimensionError("freqs and amps must have equal length")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(amps))):
+            raise PhysicsError("frequencies and amplitudes must be finite")
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
             raise DimensionError("frequencies must be strictly increasing")
         for name, arr in (("freqs", freqs), ("amps", amps)):
@@ -401,37 +403,31 @@ def _merge_tol(window: float) -> float:
     return max(10.0 * BISECTION_TOL, 1e-12 * float(window))
 
 
-def find_zeros(
-    sig: TrigSignal,
-    window: float,
-    base_grid: int = 4096,
-    zero_tol: float | None = None,
-) -> list[float]:
+def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[float]:
     """Times in [0, window] where |f| vanishes, by refining grid-scale minima.
 
     A grid minimum is refined (Newton on d|f|^2/dt, the bracket ends
-    included) only when the chord screen lets |f| fall to zero_tol on one of its cells.
+    included) only when the chord screen lets |f| fall to 1e-10 sum|c_j| on
+    one of its cells; a refined minimum at or below that is a zero.
     Brackets still open at the refinement step cap raise a RuntimeWarning.
     """
     if not window > 0.0:
         raise PhysicsError("window must be positive")
     if sig.weight() == 0.0:
         raise ZeroSignalError("signal is identically zero")
-    zeros, still_open = _zeros(sig, window, base_grid, zero_tol)
+    zeros, still_open = _zeros(sig, window, base_grid)
     if still_open:
         message = f"{still_open} extremum brackets hit the step cap {_EXTREMUM_STEPS}"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     return zeros
 
 
-def _zeros(sig: TrigSignal, window: float, base_grid: int, zero_tol: float | None = None):
+def _zeros(sig: TrigSignal, window: float, base_grid: int):
     """The zeros of find_zeros, without its checks, and the open bracket count.
 
-    The count is of extremum brackets still open at the step cap; zero_tol
-    defaults to 1e-10 sum|c_j|.
+    The count is of extremum brackets still open at the step cap.
     """
-    if zero_tol is None:
-        zero_tol = 1e-10 * sig.weight()
+    zero_level = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
     # Padding with +inf lets the window ends count as one-sided minima.
@@ -439,10 +435,10 @@ def _zeros(sig: TrigSignal, window: float, base_grid: int, zero_tol: float | Non
     lo, hi = np.maximum(idx - 1, 0), np.minimum(idx + 1, n)
     floor = _chord_distance(fs) - screen
     # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
-    keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_tol
+    keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_level
     lo, hi = lo[keep], hi[keep]
     t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
-    zeros = np.sort(np.clip(t_min[f_min <= zero_tol], 0.0, float(window))).tolist()
+    zeros = np.sort(np.clip(t_min[f_min <= zero_level], 0.0, float(window))).tolist()
     merged: list[float] = []
     for z in zeros:
         if not merged or z - merged[-1] > _merge_tol(window):
@@ -603,24 +599,21 @@ def periodic_approximation(
     tol: float,
     horizon: float,
     *,
-    margin: float = 0.1,
     max_denominator: int = DENOMINATOR_CAP,
 ) -> PeriodicApproximant:
     """Periodic (commensurate) approximant with sup|f - f~| <= tol on [0, horizon].
 
     Anchors the first nonzero frequency and approximates every frequency ratio
     by continued-fraction convergents until the guaranteed phase-drift bound
-    sum_j |c_j| |omega_j - omega~_j| * horizon falls below margin*tol; the
-    common denominator of the ratios fixes the base period.  margin keeps an
-    order of headroom between the guaranteed bound and the requested tol.
+    sum_j |c_j| |omega_j - omega~_j| * horizon falls below 0.1*tol; the
+    common denominator of the ratios fixes the base period.  The factor 0.1
+    keeps an order of headroom between the guaranteed bound and tol.
     One-sided amplitude support is untouched, so the approximant stays causal.
     """
     if not tol > 0.0:
         raise PhysicsError("tol must be positive")
     if not horizon > 0.0:
         raise PhysicsError("horizon must be positive")
-    if not 0.0 < margin <= 1.0:
-        raise ValueError("margin must lie in (0, 1]")
 
     freqs = sig.freqs
     amps = sig.amps
@@ -631,7 +624,7 @@ def periodic_approximation(
 
     anchor_idx = int(np.argmax(np.abs(freqs) > 1e-12 * max_abs))
     wa = float(freqs[anchor_idx])
-    budget = math.inf if weight == 0.0 else tol * margin / (horizon * weight)
+    budget = math.inf if weight == 0.0 else tol * 0.1 / (horizon * weight)
     ratio_tol = budget / abs(wa)
 
     nums: list[int] = []

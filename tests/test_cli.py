@@ -26,6 +26,14 @@ def _write_problem(tmp_path, name="problem.json", n=4, with_state=True, seed=1):
     return path
 
 
+def _nan_state_problem():
+    """Harmonic N = 2 with state (NaN, 0): its squared norm is NaN."""
+    return {
+        "spectrum": {"kind": "harmonic", "n": 2},
+        "state": {"re": [math.nan, 0.0], "im": [0.0, 0.0]},
+    }
+
+
 class TestHappyPaths:
     def test_tg_writes_matrix_and_diagnostics(self, tmp_path):
         problem = _write_problem(tmp_path)
@@ -168,6 +176,37 @@ class TestFailurePaths:
         )
         assert main(["canonical", "-i", str(doc), "-o", str(tmp_path / "o")]) == EXIT_PHYSICS
 
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            ("zeroset", _nan_state_problem()),
+            ("claims", _nan_state_problem()),
+            ("canonical", _nan_state_problem()),
+            ("tg", {"spectrum": {"kind": "custom", "levels": [1.0, 1e308, math.inf]}}),
+            ("tg", {"spectrum": {"kind": "custom", "levels": [1.0, 2.0], "hbar": math.inf}}),
+        ],
+        ids=["zeroset-nan", "claims-nan", "canonical-nan", "tg-inf-level", "tg-inf-hbar"],
+    )
+    def test_non_finite_input_exits_3_without_artifacts(self, tmp_path, capsys, command, problem):
+        # json reads NaN and Infinity; the types reject them before any computation.
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(problem))
+        out = tmp_path / "o"
+        assert main([command, "-i", str(doc), "-o", str(out)]) == EXIT_PHYSICS
+        assert "finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--target", "600"], ["--grid", "3", "--target", "3"]],
+        ids=["target600", "grid3-target3"],
+    )
+    def test_empty_cauchy_ladder_exits_2(self, tmp_path, args):
+        # No power of two N satisfies max(target, 1) <= N <= min(grid, 512).
+        out = tmp_path / "o"
+        assert main(["cauchy", "-o", str(out), *args]) == EXIT_PARSE
+        assert not (out / "convergence.csv").exists()
+
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["canonical", "-o", str(tmp_path / "o"), "--grid", "1"]) == EXIT_PARSE
 
@@ -268,6 +307,31 @@ class TestDeterminism:
         out = tmp_path / "out"
         assert main(["claims", *argv, "-o", str(out)]) == EXIT_OK
         assert main(["zeroset", *argv, "-o", str(out)]) == EXIT_OK
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["canonical", "--seed", "7"],
+                {
+                    "density.csv": "e82bea6f079ecf63ebfe356735ab1922e74b2229306db9012058052ccc555942",
+                    "covariance.json": "ae5bbc8957ed7becbaa1816ac7d0b035efa98482b155732740f196eb3b00bb9b",
+                },
+            ),
+            (
+                ["cauchy", "--grid", "512"],
+                {"convergence.csv": "98df220946d0e6949d709577615720395b163d309531f61195a76eb3456c283e"},
+            ),
+        ],
+        ids=["canonical", "cauchy"],
+    )
+    def test_canonical_and_cauchy_bytes_are_pinned(self, tmp_path, argv, digests):
+        # sha256 of the artifacts before the unused tolerance and partial-sum
+        # parameters were deleted; the default problem is harmonic N = 8.
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
         assert got == digests
 

@@ -48,7 +48,7 @@ class TestPartialSums:
 class TestCauchyState:
     def test_n_equals_one(self):
         step = cauchy_state(1)
-        assert (step.h, step.sigma) == (1.0, 1.0)
+        assert harmonic_partial_sums(1) == (1.0, 1.0)
         np.testing.assert_allclose(
             step.state.coeffs.real,
             [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)],
@@ -91,14 +91,9 @@ class TestCauchyState:
     def test_step_invariants_enforced(self):
         good = cauchy_state(2)
         with pytest.raises(DimensionError):
-            CauchyStep(n=2, h=good.h + 1.0, sigma=good.sigma, state=good.state)
+            CauchyStep(n=3, state=good.state)
         with pytest.raises(DimensionError):
-            CauchyStep(
-                n=2,
-                h=good.h,
-                sigma=good.sigma,
-                state=QuantumState(np.array([1.0, 0.0, 0.0])),
-            )
+            CauchyStep(n=2, state=QuantumState(np.array([1.0, 0.0, 0.0])))
 
 
 class TestDistance:

@@ -10,7 +10,6 @@ from timeobs import (
     DimensionError,
     EnergySpectrum,
     NormalizationError,
-    PhysicsConfig,
     PhysicsError,
     QuantumState,
     build_spectrum,
@@ -85,11 +84,31 @@ class TestTypes:
         with pytest.raises(NormalizationError):
             QuantumState.normalized([0.0, 0.0])
 
-    def test_config_positive_fields(self):
-        with pytest.raises(PhysicsError):
-            PhysicsConfig(membership_tolerance=0.0)
-        cfg = PhysicsConfig()
-        assert cfg.membership_tolerance == 1e-10
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum_requires_finite_levels(self, bad):
+        with pytest.raises(PhysicsError, match="finite"):
+            EnergySpectrum(np.array([1.0, bad]))
+        with pytest.raises(PhysicsError, match="finite"):
+            build_spectrum("custom", 3, levels=[1.0, 1e308, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spectrum_requires_finite_hbar(self, bad):
+        with pytest.raises(PhysicsError, match="finite"):
+            EnergySpectrum(np.array([0.0, 1.0]), hbar=bad)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [math.nan, 0.0],
+            [complex(0.0, math.nan), 1.0],
+            [math.inf, 0.0],
+            [1.0, complex(0.0, -math.inf)],
+        ],
+        ids=["nan", "nan-imag", "inf", "inf-imag"],
+    )
+    def test_state_requires_finite_coefficients(self, coeffs):
+        with pytest.raises(NormalizationError, match="finite"):
+            QuantumState(np.array(coeffs, dtype=complex))
 
 
 class TestEvolve:

@@ -138,6 +138,13 @@ class TestSignal:
         with pytest.raises(DimensionError):
             TrigSignal(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_amplitudes_and_frequencies_must_be_finite(self, bad):
+        with pytest.raises(PhysicsError, match="finite"):
+            TrigSignal(np.array([1.0, 2.0]), np.array([bad, 0.0]))
+        with pytest.raises(PhysicsError, match="finite"):
+            TrigSignal(np.array([abs(bad)]), np.array([1.0]))
+
     def test_matches_density_through_conjugate_amplitudes(self):
         spec = build_spectrum("box", 4, scale=0.6)
         psi = random_state(4, 21)

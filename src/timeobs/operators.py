@@ -2,7 +2,9 @@
 
 Builds the Hermitian time-operator candidate with entries i*hbar/(E_j - E_k),
 the diagonal Hamiltonian, exact and weak commutators, and the scans that probe
-whether the operator's statistics track elapsed time.
+whether the operator's statistics track elapsed time.  `commutator_defects`
+compares [T, H] with its closed form i*hbar*(I - J) tile by tile, without
+building H, the commutator or the weak form as N x N matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .zeroset import _BLOCK_ENTRIES, TrigSignal, _phases, eval_f
 
 HERMITICITY_TOL = 1e-13
 
-_HERMITICITY_TILE = 64  # rows per tile of the upper-triangle Hermiticity scan
+_TILE_ROWS = 64  # rows per tile of the tiled N x N scans
 
 _PROJECTION_FLOOR = 1e-12
 
@@ -58,12 +60,12 @@ def hermiticity_defect(entries: np.ndarray) -> float:
 
     The deviation is symmetric: |a_jk - conj(a_kj)| equals |a_kj - conj(a_jk)|
     bit for bit. So only the upper triangle is scanned, in tiles of
-    _HERMITICITY_TILE rows: the tile at row r is a[r:r+tile, r:] against the
+    _TILE_ROWS rows: the tile at row r is a[r:r+tile, r:] against the
     conjugate transpose of a[r:, r:r+tile]. No N x N temporary is built, and
     np.max over the tiles keeps a NaN, as the dense difference would.
     """
     a = np.asarray(entries)
-    tile = _HERMITICITY_TILE
+    tile = _TILE_ROWS
     return float(np.max([
         np.max(np.abs(a[r:r + tile, r:] - a[r:, r:r + tile].conj().T))
         for r in range(0, a.shape[0], tile)
@@ -148,6 +150,31 @@ def weak_commutator(spectrum: EnergySpectrum) -> OperatorMatrix:
     n = spectrum.size
     entries = 1j * spectrum.hbar * (np.eye(n) - np.ones((n, n)))
     return OperatorMatrix(entries)
+
+
+def commutator_defects(top: OperatorMatrix, spectrum: EnergySpectrum) -> tuple[float, float]:
+    """(max |[T, H] - i*hbar*(I - J)|, max |diag [T, H]|) for T = `top`.
+
+    One pass over tiles of _TILE_ROWS rows of T.  Each tile of [T, H] is
+    `commutator`'s diagonal branch, x*d - d_rows*x with d the levels as
+    complex numbers, and each tile of the weak form is `weak_commutator`'s
+    1j*hbar*(I - J) restricted to those rows.  Every entry therefore has the
+    same bits as in the dense matrices, and no N x N temporary is built.
+    """
+    if top.basis_size != spectrum.size:
+        raise DimensionError(
+            f"operator size {top.basis_size} does not match spectrum length {spectrum.size}"
+        )
+    x, n = top.entries, spectrum.size
+    d = spectrum.levels.astype(complex)
+    weak_max, diag_max = [], []
+    for r in range(0, n, _TILE_ROWS):
+        rows = x[r:r + _TILE_ROWS]
+        c = rows * d - d[r:r + _TILE_ROWS, None] * rows
+        w = 1j * spectrum.hbar * (np.eye(rows.shape[0], n, r) - 1.0)
+        weak_max.append(np.max(np.abs(c - w)))
+        diag_max.append(np.max(np.abs(np.diagonal(c, offset=r))))
+    return float(np.max(weak_max)), float(np.max(diag_max))
 
 
 def expectation(op: OperatorMatrix, state: QuantumState) -> complex:

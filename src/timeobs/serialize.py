@@ -106,7 +106,7 @@ def state_from_dict(doc: dict) -> QuantumState:
     im = _as_number_list(_require(doc, "im", "state"), "state.im")
     if len(re) != len(im):
         raise SchemaError("state: re and im must have equal length")
-    return QuantumState(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
+    return QuantumState(_complex_array(re, im))
 
 
 def load_problem(path) -> tuple[EnergySpectrum, QuantumState | None]:
@@ -146,8 +146,20 @@ def matrix_from_dict(doc: dict) -> OperatorMatrix:
         for row in rows:
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"matrix.{name}: expected square {n} x {n} data")
-    entries = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return OperatorMatrix(entries)
+    return OperatorMatrix(_complex_array(re, im))
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """Complex array with exactly the given parts.
+
+    `re + 1j*im` is not exact: the product 1j*im gets a real part 0*im, NaN
+    for an infinite im, and the sum turns a -0.0 part into 0.0.
+    """
+    re = np.array(re, dtype=float)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = np.array(im, dtype=float)
+    return out
 
 
 def load_matrix(path) -> OperatorMatrix:

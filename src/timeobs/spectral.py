@@ -3,7 +3,8 @@
 Everything downstream consumes these types: a spectrum is a finite, strictly
 increasing list of nondegenerate levels (a truncation of the physical system)
 with a positive hbar, and a state is a unit-norm complex coefficient vector
-over that eigenbasis.  Every level, hbar and coefficient is a finite number.
+over that eigenbasis.  Every level, hbar and coefficient is a finite number,
+and so is the span E_max - E_min, which bounds every level difference.
 Membership of the zero-sum subspace is the fixed test
 |sum_j c_j| <= MEMBERSHIP_TOL.
 """
@@ -49,8 +50,13 @@ class EnergySpectrum:
             raise DimensionError("a spectrum needs at least two levels")
         if not np.all(np.isfinite(levels)):
             raise PhysicsError("energy levels must be finite")
-        if not np.all(np.diff(levels) > 0.0):
+        with np.errstate(over="ignore"):
+            gaps = np.diff(levels)
+            span = levels[-1] - levels[0]
+        if not np.all(gaps > 0.0):
             raise DegeneracyError("energy levels must be strictly increasing")
+        if not np.isfinite(span):
+            raise PhysicsError("level span must be finite")
         if not 0.0 < self.hbar < math.inf:
             raise PhysicsError("hbar must be positive and finite")
         object.__setattr__(self, "levels", _frozen(levels, float))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,22 @@ class TestHappyPaths:
         assert diag["basis_size"] == 4
         assert diag["max_weak_defect"] <= 1e-12
         assert diag["max_diagonal_entry"] <= 1e-13
+
+    def test_tg_peak_memory_bounded(self, tmp_path):
+        # T is 16 N^2 bytes.  Dense H, [T, H], weak form and their difference
+        # would take the traced peak to about 5.6 times that.
+        n = 256
+        problem = tmp_path / "problem.json"
+        serialize.dump_problem(problem, build_spectrum("harmonic", n, omega=1.0))
+        argv = ["tg", "-i", str(problem), "-o", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 16 * n * n
 
     def test_tg_commutator_diagnostics_match_dense_reference(self, tmp_path):
         problem = _write_problem(tmp_path, n=64, with_state=False)
@@ -184,8 +201,26 @@ class TestFailurePaths:
             ("canonical", _nan_state_problem()),
             ("tg", {"spectrum": {"kind": "custom", "levels": [1.0, 1e308, math.inf]}}),
             ("tg", {"spectrum": {"kind": "custom", "levels": [1.0, 2.0], "hbar": math.inf}}),
+            ("tg", {"spectrum": {"kind": "custom", "levels": [-1e308, 1e308]}}),
+            ("tg", {"spectrum": {"kind": "custom", "levels": [-1e308, 0.0, 1e308]}}),
+            (
+                "claims",
+                {
+                    "spectrum": {"kind": "harmonic", "n": 2},
+                    "state": {"re": [1.0, 0.0], "im": [0.0, math.inf]},
+                },
+            ),
         ],
-        ids=["zeroset-nan", "claims-nan", "canonical-nan", "tg-inf-level", "tg-inf-hbar"],
+        ids=[
+            "zeroset-nan",
+            "claims-nan",
+            "canonical-nan",
+            "tg-inf-level",
+            "tg-inf-hbar",
+            "tg-span-overflow",
+            "tg-span-overflow-finite-gaps",
+            "claims-inf-im",
+        ],
     )
     def test_non_finite_input_exits_3_without_artifacts(self, tmp_path, capsys, command, problem):
         # json reads NaN and Infinity; the types reject them before any computation.

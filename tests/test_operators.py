@@ -18,6 +18,7 @@ from timeobs import (
     build_time_operator,
     coefficient_sum,
     commutator,
+    commutator_defects,
     covariance_deviation,
     evolve,
     expectation,
@@ -232,6 +233,38 @@ class TestWeakCommutator:
             psi = project_to_zero_sum(random_state(16, seed))
             resid = comm.entries @ psi.coeffs - 1j * spec.hbar * psi.coeffs
             assert np.linalg.norm(resid) <= 1e-10
+
+
+class TestCommutatorDefects:
+    @pytest.mark.parametrize("n", (2, 63, 64, 65, 200))
+    def test_equals_dense_reference(self, n):
+        # Tiles of 64 rows: one short tile, one full, one full plus one row.
+        for spec in [*_spectra(n), build_spectrum("box", n, scale=0.3, hbar=0.7)]:
+            top = build_time_operator(spec)
+            t, h = top.entries, build_hamiltonian(spec).entries
+            dense = t @ h - h @ t
+            reference = (
+                float(np.max(np.abs(dense - weak_commutator(spec).entries))),
+                float(np.max(np.abs(np.diag(dense)))),
+            )
+            assert commutator_defects(top, spec) == reference
+
+    @pytest.mark.parametrize("n", (2, 63, 64, 65, 200))
+    def test_reads_the_last_row(self, n):
+        # A defect in the last row of T, so the last (partial) tile decides.
+        spec = build_spectrum("custom", n, levels=np.arange(n) ** 1.5)
+        entries = build_time_operator(spec).entries.copy()
+        entries[n - 1, 0] += 0.5
+        top = OperatorMatrix(entries)
+        dense = commutator(top, build_hamiltonian(spec)).entries
+        assert commutator_defects(top, spec)[0] == float(
+            np.max(np.abs(dense - weak_commutator(spec).entries))
+        )
+
+    def test_size_mismatch(self):
+        top = build_time_operator(build_spectrum("harmonic", 3))
+        with pytest.raises(DimensionError):
+            commutator_defects(top, build_spectrum("harmonic", 4))
 
 
 class TestExpectation:
@@ -530,7 +563,7 @@ class TestOperatorMatrix:
 
 
 _SALTS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0)
-_TILE = operators._HERMITICITY_TILE
+_TILE = operators._TILE_ROWS
 _TILE_EDGES = sorted(
     {m + d for m in (_TILE, 2 * _TILE, 3 * _TILE) for d in (-1, 0, 1)} | {1, 2}
 )

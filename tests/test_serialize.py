@@ -106,6 +106,14 @@ class TestStateDocuments:
         back = serialize.state_from_dict(serialize.state_to_dict(psi))
         np.testing.assert_array_equal(back.coeffs, psi.coeffs)
 
+    def test_round_trip_keeps_bit_patterns(self):
+        psi = QuantumState(
+            np.array([complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.0, 0.0)])
+        )
+        text = json.dumps(serialize.state_to_dict(psi))
+        back = serialize.state_from_dict(json.loads(text))
+        np.testing.assert_array_equal(back.coeffs.view(np.int64), psi.coeffs.view(np.int64))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             serialize.state_from_dict({"re": [1.0, 0.0], "im": [0.0]})
@@ -230,6 +238,20 @@ class TestMatrixDocuments:
         serialize.dump_matrix(path, top)
         back = serialize.load_matrix(path)
         np.testing.assert_array_equal(back.entries, top.entries)
+
+    def test_round_trip_keeps_bit_patterns(self, tmp_path):
+        # Signed zeros beside either sign of the other part, infinities and
+        # json's one NaN reload bit for bit.
+        entries = build_time_operator(build_spectrum("box", 4)).entries.copy()
+        entries[0, 1] = complex(-0.0, 2.0)
+        entries[1, 0] = complex(1.0, -0.0)
+        entries[2, 2] = complex(-0.0, -0.0)
+        entries[3, 1] = complex(0.5, math.inf)
+        entries[1, 3] = complex(-math.inf, math.nan)
+        path = tmp_path / "matrix.json"
+        serialize.dump_matrix(path, OperatorMatrix(entries))
+        back = serialize.load_matrix(path)
+        np.testing.assert_array_equal(back.entries.view(np.int64), entries.view(np.int64))
 
     @pytest.mark.parametrize(
         "entries",

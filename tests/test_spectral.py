@@ -91,6 +91,15 @@ class TestTypes:
         with pytest.raises(PhysicsError, match="finite"):
             build_spectrum("custom", 3, levels=[1.0, 1e308, bad])
 
+    @pytest.mark.parametrize(
+        "levels", [[-1e308, 1e308], [-1e308, 0.0, 1e308]], ids=["two", "three"]
+    )
+    def test_spectrum_requires_finite_span(self, levels):
+        # The three-level gaps are finite; only E_max - E_min overflows.
+        with pytest.raises(PhysicsError, match="level span must be finite"):
+            EnergySpectrum(np.array(levels))
+        assert EnergySpectrum(np.array([-8e307, 0.0, 8e307])).size == 3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spectrum_requires_finite_hbar(self, bad):
         with pytest.raises(PhysicsError, match="finite"):

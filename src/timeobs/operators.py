@@ -5,6 +5,16 @@ the diagonal Hamiltonian, exact and weak commutators, and the scans that probe
 whether the operator's statistics track elapsed time.  `commutator_defects`
 compares [T, H] with its closed form i*hbar*(I - J) tile by tile, without
 building H, the commutator or the weak form as N x N matrices.
+
+Every N x N buffer is allocated once.  `OperatorMatrix` keeps an array as is
+when it is complex, owns its data and is already read-only, or when
+`np.asarray` has just converted it, so no caller holds a reference; any other
+input is copied and frozen, so a caller's writable array can never change an
+operator.  The builders fill one complex buffer, freeze it and hand it over:
+`build_time_operator`, `build_hamiltonian`, `weak_commutator` and the
+diagonal branches of `commutator` each take one 16 N^2-byte buffer plus one
+tile of _TILE_ROWS rows.  The dense branch of `commutator` also holds the
+second product.
 """
 
 from __future__ import annotations
@@ -37,18 +47,22 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        given = self.entries
+        entries = np.asarray(given, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError("operator entries must form a square matrix")
         if entries.shape[0] < 1:
             raise DimensionError("operator must be at least 1 x 1")
-        if self.hermitian and hermiticity_defect(entries) > HERMITICITY_TOL:
+        if self.hermitian and not hermiticity_defect(entries) <= HERMITICITY_TOL:
             raise DimensionError(
                 f"matrix tagged hermitian has defect above {HERMITICITY_TOL}"
             )
-        frozen = np.array(entries, dtype=complex)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "entries", frozen)
+        # Keep an owned buffer that is read-only or was just converted; copy
+        # anything a caller could still write through.
+        if entries.base is not None or (entries is given and entries.flags.writeable):
+            entries = np.array(entries)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def basis_size(self) -> int:
@@ -97,31 +111,44 @@ class DeviationSeries:
 def build_time_operator(spectrum: EnergySpectrum) -> OperatorMatrix:
     """Hermitian matrix with entries i*hbar/(E_j - E_k) off the diagonal, 0 on it.
 
-    Nondegeneracy of the spectrum (a type invariant) keeps every gap nonzero.
+    Nondegeneracy of the spectrum (a type invariant) keeps every gap nonzero,
+    and the spectrum keeps hbar*(1/gap) finite.  The entries are numpy's
+    complex division of 1j*hbar by each tile of real gaps, written into one
+    buffer; that division yields hbar*(1/gap) and -0.0 real parts, which
+    `hbar/gaps` would not.
     """
-    e = spectrum.levels
-    gaps = e[:, None] - e[None, :]
-    np.fill_diagonal(gaps, 1.0)  # placeholder; diagonal zeroed below
-    entries = (1j * spectrum.hbar) / gaps
+    e, n = spectrum.levels, spectrum.size
+    entries = np.empty((n, n), dtype=complex)
+    for r in range(0, n, _TILE_ROWS):
+        gaps = e[r:r + _TILE_ROWS, None] - e[None, :]
+        np.fill_diagonal(gaps[:, r:], 1.0)  # placeholder; diagonal zeroed below
+        np.divide(1j * spectrum.hbar, gaps, out=entries[r:r + _TILE_ROWS])
     np.fill_diagonal(entries, 0.0)
-    return OperatorMatrix(entries, hermitian=True)
+    return _handed_over(entries, hermitian=True)
 
 
 def build_hamiltonian(spectrum: EnergySpectrum) -> OperatorMatrix:
     """Diagonal matrix of the energy levels."""
     entries = np.zeros((spectrum.size, spectrum.size), dtype=complex)
     np.fill_diagonal(entries, spectrum.levels)
-    return OperatorMatrix(entries, hermitian=True)
+    return _handed_over(entries, hermitian=True)
+
+
+def _handed_over(entries: np.ndarray, hermitian: bool = False) -> OperatorMatrix:
+    """Freeze a builder's own buffer so that `OperatorMatrix` keeps it uncopied."""
+    entries.setflags(write=False)
+    return OperatorMatrix(entries, hermitian=hermitian)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[A, B] = AB - BA.
 
     A diagonal operand scales rows and columns, so the commutator is then
-    computed entrywise in O(N^2): [A, D]_jk = A_jk d_k - d_j A_jk. That is
-    bit-identical to the dense products whenever one operand is real (the
-    Hamiltonian is); a fused multiply-add in the dense product can otherwise
-    move the last bit.
+    computed entrywise in O(N^2): [A, D]_jk = A_jk d_k - d_j A_jk, written
+    _TILE_ROWS rows at a time into one buffer. That is bit-identical to the
+    dense products whenever one operand is real (the Hamiltonian is); a fused
+    multiply-add in the dense product can otherwise move the last bit.
+    Otherwise AB is formed and BA subtracted from it in place.
     """
     if a.basis_size != b.basis_size:
         raise DimensionError(
@@ -130,11 +157,20 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     x, y = a.entries, b.entries
     if _is_diagonal(y):
         d = np.diagonal(y)
-        return OperatorMatrix(x * d - d[:, None] * x)
-    if _is_diagonal(x):
+        out = np.empty_like(x)
+        for r in range(0, a.basis_size, _TILE_ROWS):
+            rows = x[r:r + _TILE_ROWS]
+            out[r:r + _TILE_ROWS] = rows * d - d[r:r + _TILE_ROWS, None] * rows
+    elif _is_diagonal(x):
         d = np.diagonal(x)
-        return OperatorMatrix(d[:, None] * y - y * d)
-    return OperatorMatrix(x @ y - y @ x)
+        out = np.empty_like(y)
+        for r in range(0, a.basis_size, _TILE_ROWS):
+            rows = y[r:r + _TILE_ROWS]
+            out[r:r + _TILE_ROWS] = d[r:r + _TILE_ROWS, None] * rows - rows * d
+    else:
+        out = x @ y
+        out -= y @ x
+    return _handed_over(out)
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -148,8 +184,15 @@ def weak_commutator(spectrum: EnergySpectrum) -> OperatorMatrix:
     with the Hamiltonian entrywise; its diagonal vanishes on every eigenstate.
     """
     n = spectrum.size
-    entries = 1j * spectrum.hbar * (np.eye(n) - np.ones((n, n)))
-    return OperatorMatrix(entries)
+    entries = np.empty((n, n), dtype=complex)
+    for r in range(0, n, _TILE_ROWS):
+        entries[r:r + _TILE_ROWS] = _weak_rows(spectrum, r, min(_TILE_ROWS, n - r))
+    return _handed_over(entries)
+
+
+def _weak_rows(spectrum: EnergySpectrum, r: int, t: int) -> np.ndarray:
+    """Rows r to r+t of i*hbar*(I - J), with the dense expression's bits."""
+    return 1j * spectrum.hbar * (np.eye(t, spectrum.size, r) - 1.0)
 
 
 def commutator_defects(top: OperatorMatrix, spectrum: EnergySpectrum) -> tuple[float, float]:
@@ -171,8 +214,7 @@ def commutator_defects(top: OperatorMatrix, spectrum: EnergySpectrum) -> tuple[f
     for r in range(0, n, _TILE_ROWS):
         rows = x[r:r + _TILE_ROWS]
         c = rows * d - d[r:r + _TILE_ROWS, None] * rows
-        w = 1j * spectrum.hbar * (np.eye(rows.shape[0], n, r) - 1.0)
-        weak_max.append(np.max(np.abs(c - w)))
+        weak_max.append(np.max(np.abs(c - _weak_rows(spectrum, r, rows.shape[0]))))
         diag_max.append(np.max(np.abs(np.diagonal(c, offset=r))))
     return float(np.max(weak_max)), float(np.max(diag_max))
 
@@ -190,7 +232,8 @@ def expectation(op: OperatorMatrix, state: QuantumState) -> complex:
 def spectral_norm(op: OperatorMatrix) -> float:
     """2-norm of a Hermitian operator.
 
-    eigvalsh reads one triangle only, so a non-Hermitian operator is rejected.
+    eigvalsh reads one triangle only, so a non-Hermitian operator is rejected,
+    and so is one whose defect is NaN.
     An operator tagged `hermitian` passed that check when it was built, and
     its entries are read-only, so it is not scanned again.
 
@@ -198,7 +241,7 @@ def spectral_norm(op: OperatorMatrix) -> float:
     with K real antisymmetric, so its norm is sqrt(lambda_max(K^T K)) in real
     arithmetic. Any other operator is max|eigvalsh(op)|.
     """
-    if not op.hermitian and hermiticity_defect(op.entries) > HERMITICITY_TOL:
+    if not op.hermitian and not hermiticity_defect(op.entries) <= HERMITICITY_TOL:
         raise DimensionError(
             f"spectral_norm needs a Hermitian operator, defect above {HERMITICITY_TOL}"
         )

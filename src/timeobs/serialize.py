@@ -8,7 +8,7 @@ artifacts re-read into equal in-memory values.
 `json.dump(obj, fh, indent=2, sort_keys=True)` plus a newline, and it also
 takes float64 arrays, which it streams row by row.  One sort of an array's
 bit patterns gives its distinct doubles, each formatted once, and a binary
-search maps every entry to its text.
+search per innermost row maps that row's entries to their texts.
 """
 
 from __future__ import annotations
@@ -150,15 +150,17 @@ def matrix_from_dict(doc: dict) -> OperatorMatrix:
 
 
 def _complex_array(re, im) -> np.ndarray:
-    """Complex array with exactly the given parts.
+    """Fresh read-only complex array with exactly the given parts.
 
     `re + 1j*im` is not exact: the product 1j*im gets a real part 0*im, NaN
-    for an infinite im, and the sum turns a -0.0 part into 0.0.
+    for an infinite im, and the sum turns a -0.0 part into 0.0.  The array
+    is frozen so that `OperatorMatrix` keeps it without a copy.
     """
     re = np.array(re, dtype=float)
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = np.array(im, dtype=float)
+    out.setflags(write=False)
     return out
 
 
@@ -180,8 +182,11 @@ def write_json(path, obj) -> None:
     a newline, where a float64 array is written as its `tolist()`.  Such
     arrays are streamed one row at a time.  Their bit patterns are sorted
     once; the patterns that differ from their sorted neighbour are the
-    distinct doubles, each formatted once, and `np.searchsorted` finds every
-    entry's text.  Other arrays raise `TypeError`, as json does.
+    distinct doubles, each formatted once, and the sorted copy is dropped.
+    `np.searchsorted` then finds the texts of one innermost row at a time,
+    so beside the array at most the sorted copy and its mask are held, and
+    then only the distinct patterns, their texts and one row's index.
+    Other arrays raise `TypeError`, as json does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -199,11 +204,11 @@ def _json_chunks(obj, indent: str):
         first = np.ones(ordered.size, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
         distinct = ordered[first]
-        index = np.searchsorted(distinct, bits)
+        del ordered, first
         texts = np.array(
             [_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object
         )
-        yield from _array_chunks(texts, index, indent)
+        yield from _array_chunks(texts, distinct, bits, indent)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
@@ -230,22 +235,27 @@ def _json_chunks(obj, indent: str):
         yield json.dumps(obj)
 
 
-def _array_chunks(texts: np.ndarray, index: np.ndarray, indent: str):
-    """Nested lists of `texts[index]`, one chunk per innermost row."""
-    if index.ndim == 0:
-        yield texts[index]
+def _array_chunks(texts: np.ndarray, distinct: np.ndarray, bits: np.ndarray, indent: str):
+    """Nested lists of the texts of `bits`, one chunk per innermost row.
+
+    `texts[i]` is the text of `distinct[i]`; each innermost row is looked up
+    by its own `np.searchsorted`, so no index of the whole array is built.
+    """
+    if bits.ndim == 0:
+        yield texts[np.searchsorted(distinct, bits)]
         return
-    if index.shape[0] == 0:
+    if bits.shape[0] == 0:
         yield "[]"
         return
     inner = indent + "  "
-    if index.ndim == 1:
-        yield "[\n" + inner + (",\n" + inner).join(texts[index].tolist())
+    if bits.ndim == 1:
+        row = texts[np.searchsorted(distinct, bits)].tolist()
+        yield "[\n" + inner + (",\n" + inner).join(row)
     else:
         sep = "[\n" + inner
-        for sub in index:
+        for sub in bits:
             yield sep
-            yield from _array_chunks(texts, sub, inner)
+            yield from _array_chunks(texts, distinct, sub, inner)
             sep = ",\n" + inner
     yield "\n" + indent + "]"
 

@@ -4,7 +4,8 @@ Everything downstream consumes these types: a spectrum is a finite, strictly
 increasing list of nondegenerate levels (a truncation of the physical system)
 with a positive hbar, and a state is a unit-norm complex coefficient vector
 over that eigenbasis.  Every level, hbar and coefficient is a finite number,
-and so is the span E_max - E_min, which bounds every level difference.
+and so are the span E_max - E_min, which bounds every level difference, and
+hbar*(1/g) for the smallest gap g, which bounds every time-operator entry.
 Membership of the zero-sum subspace is the fixed test
 |sum_j c_j| <= MEMBERSHIP_TOL.
 """
@@ -59,6 +60,11 @@ class EnergySpectrum:
             raise PhysicsError("level span must be finite")
         if not 0.0 < self.hbar < math.inf:
             raise PhysicsError("hbar must be positive and finite")
+        with np.errstate(over="ignore"):
+            # The time operator's largest entry, as its complex division forms it.
+            largest = self.hbar * (1.0 / np.min(gaps))
+        if not np.isfinite(largest):
+            raise PhysicsError("hbar * (1 / smallest level gap) must be finite")
         object.__setattr__(self, "levels", _frozen(levels, float))
         object.__setattr__(self, "hbar", float(self.hbar))
 

@@ -235,6 +235,103 @@ class TestWeakCommutator:
             assert np.linalg.norm(resid) <= 1e-10
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBuildersBitEqual:
+    """Every tiled or in-place builder against the dense expression it replaced."""
+
+    @pytest.mark.parametrize("n", (2, 63, 64, 65, 200))
+    def test_entries_equal_dense_expressions(self, n):
+        # Tiles of 64 rows: one short tile, one full, one full plus one row.
+        for spec in [*_spectra(n), build_spectrum("box", n, scale=0.3, hbar=0.7)]:
+            e, hbar = spec.levels, spec.hbar
+            gaps = e[:, None] - e[None, :]
+            np.fill_diagonal(gaps, 1.0)
+            t = (1j * hbar) / gaps
+            np.fill_diagonal(t, 0.0)
+            h = np.zeros((n, n), dtype=complex)
+            np.fill_diagonal(h, e)
+            w = 1j * hbar * (np.eye(n) - np.ones((n, n)))
+            d = np.diagonal(h)
+            top, ham, weak = build_time_operator(spec), build_hamiltonian(spec), weak_commutator(spec)
+            for built, reference in [
+                (top, t),
+                (ham, h),
+                (weak, w),
+                (commutator(top, ham), t * d - d[:, None] * t),
+                (commutator(ham, top), d[:, None] * t - t * d),
+                (commutator(top, weak), t @ w - w @ t),
+            ]:
+                np.testing.assert_array_equal(_bits(built.entries), _bits(reference))
+
+
+class TestOperatorBuffers:
+    def test_writable_input_is_copied(self):
+        given = build_time_operator(build_spectrum("box", 5)).entries.copy()
+        op = OperatorMatrix(given, hermitian=True)
+        before = op.entries.copy()
+        given[0, 1] = 99.0
+        assert op.entries is not given
+        np.testing.assert_array_equal(_bits(op.entries), _bits(before))
+
+    @pytest.mark.parametrize("view", [lambda b: b[:], lambda b: b.T, lambda b: b[::-1, ::-1]])
+    def test_base_of_read_only_view_is_copied(self, view):
+        base = np.eye(4, dtype=complex)
+        given = view(base)
+        given.setflags(write=False)
+        op = OperatorMatrix(given, hermitian=True)
+        base[1, 2] = 7.0
+        np.testing.assert_array_equal(op.entries, np.eye(4))
+
+    def test_converted_input_is_kept_and_frozen(self):
+        given = np.eye(3)
+        op = OperatorMatrix(given)
+        given[0, 0] = 5.0
+        np.testing.assert_array_equal(op.entries, np.eye(3))
+        assert not op.entries.flags.writeable
+        assert not OperatorMatrix([[1.0, 0.0], [0.0, 2.0]]).entries.flags.writeable
+
+    def test_fresh_read_only_buffer_is_kept(self):
+        given = np.eye(3, dtype=complex)
+        given.setflags(write=False)
+        assert OperatorMatrix(given).entries is given
+        top = build_time_operator(build_spectrum("harmonic", 4))
+        assert OperatorMatrix(top.entries, hermitian=True).entries is top.entries
+
+
+class TestBuilderMemory:
+    """Traced peak of each builder at N=1024, in units of T's 16 N^2 bytes.
+
+    A builder that copies its result, or holds a real N x N temporary
+    beside it, reads 2 or more; the buffer itself plus tiles of 64 rows
+    read about 1.15.
+    """
+
+    n = 1024
+
+    @staticmethod
+    def _peak(build) -> int:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("builder", [build_time_operator, build_hamiltonian, weak_commutator])
+    def test_spectrum_builders(self, builder):
+        spec = build_spectrum("box", self.n, scale=0.3, hbar=0.7)
+        assert self._peak(lambda: builder(spec)) <= 1.25 * 16 * self.n**2
+
+    def test_commutator_with_diagonal_operand(self):
+        spec = build_spectrum("harmonic", self.n, omega=0.83)
+        top, ham = build_time_operator(spec), build_hamiltonian(spec)
+        assert self._peak(lambda: commutator(top, ham)) <= 1.25 * 16 * self.n**2
+        assert self._peak(lambda: commutator(ham, top)) <= 1.25 * 16 * self.n**2
+
+
 class TestCommutatorDefects:
     @pytest.mark.parametrize("n", (2, 63, 64, 65, 200))
     def test_equals_dense_reference(self, n):
@@ -327,6 +424,12 @@ class TestSpectralNorm:
             top = build_time_operator(spec)
             oracle = float(np.linalg.norm(top.entries, 2))
             assert abs(spectral_norm(top) - oracle) <= 1e-12 * oracle
+
+    def test_nan_entry_rejected(self):
+        entries = build_time_operator(build_spectrum("harmonic", 3)).entries.copy()
+        entries[0, 2] = complex(0.0, math.nan)
+        with pytest.raises(DimensionError):
+            spectral_norm(OperatorMatrix(entries))
 
     def test_imaginary_non_hermitian_rejected(self):
         with pytest.raises(DimensionError):
@@ -552,6 +655,15 @@ class TestOperatorMatrix:
     def test_rejects_false_hermitian_tag(self):
         with pytest.raises(DimensionError):
             OperatorMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), hermitian=True)
+
+    @pytest.mark.parametrize("salt", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_rejects_nan_defect(self, salt):
+        # A NaN defect compares false against any tolerance; it is a failure.
+        entries = np.zeros((3, 3), dtype=complex)
+        entries[2, 1] = salt
+        assert math.isnan(hermiticity_defect(entries))
+        with pytest.raises(DimensionError):
+            OperatorMatrix(entries, hermitian=True)
 
     @pytest.mark.parametrize("n, j, k", [(6, 5, 2), (130, 129, 0), (130, 100, 70)])
     def test_rejects_defect_in_lower_triangle_only(self, n, j, k):

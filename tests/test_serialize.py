@@ -189,8 +189,8 @@ class TestWriteJsonByteIdentity:
 
     @pytest.mark.parametrize(
         "shape",
-        [(), (0,), (4,), (3, 0), (0, 3), (2, 3, 2)],
-        ids=["0d", "empty", "4", "3x0", "0x3", "2x3x2"],
+        [(), (0,), (4,), (3, 0), (0, 3), (2, 3, 2), (2, 0, 2), (3, 1, 4)],
+        ids=["0d", "empty", "4", "3x0", "0x3", "2x3x2", "2x0x2", "3x1x4"],
     )
     def test_float_arrays_match_tolist(self, tmp_path, shape):
         values = np.random.default_rng(3).standard_normal(shape)
@@ -279,6 +279,34 @@ class TestMatrixDocuments:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * top.entries.nbytes
+
+    def test_dump_builds_no_whole_matrix_index(self, tmp_path):
+        # Beside T only the sorted bit patterns (half of T's bytes) and a
+        # mask are held; an N^2 index and a contiguous copy of the bits
+        # would take the peak to 1.56 times T.
+        top = build_time_operator(build_spectrum("harmonic", 512))
+        tracemalloc.start()
+        try:
+            serialize.dump_matrix(tmp_path / "matrix.json", top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * top.entries.nbytes
+
+    def test_load_hands_its_buffer_to_the_operator(self, monkeypatch):
+        made = []
+
+        def spy(re, im):
+            made.append(complex_array(re, im))
+            return made[-1]
+
+        complex_array = serialize._complex_array
+        monkeypatch.setattr(serialize, "_complex_array", spy)
+        op = serialize.matrix_from_dict(
+            {"n": 2, "re": [[0.0, -0.0], [1.0, 2.0]], "im": [[0.0, 1.0], [math.inf, 0.5]]}
+        )
+        assert op.entries is made[0]
+        assert not op.entries.flags.writeable
 
     def test_shape_validation(self):
         with pytest.raises(SchemaError):

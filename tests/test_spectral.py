@@ -100,6 +100,18 @@ class TestTypes:
             EnergySpectrum(np.array(levels))
         assert EnergySpectrum(np.array([-8e307, 0.0, 8e307])).size == 3
 
+    @pytest.mark.parametrize(
+        "levels, hbar",
+        [([0.0, 5e-324], 1.0), ([0.0, 1e-309], 1e-300)],
+        ids=["subnormal-gap", "finite-ratio"],
+    )
+    def test_spectrum_requires_finite_time_operator_entries(self, levels, hbar):
+        # The time operator's complex division forms hbar*(1/gap): 1/5e-324
+        # overflows, and so does 1/1e-309 although hbar/gap is 1e9.
+        with pytest.raises(PhysicsError, match="finite"):
+            EnergySpectrum(np.array(levels), hbar=hbar)
+        assert EnergySpectrum(np.array([0.0, 1e-300]), hbar=1e-10).size == 2
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spectrum_requires_finite_hbar(self, bad):
         with pytest.raises(PhysicsError, match="finite"):

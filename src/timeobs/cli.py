@@ -35,7 +35,7 @@ from .operators import (
 )
 from .rng import random_state
 from .spectral import EnergySpectrum, QuantumState, build_spectrum
-from .zeroset import TrigSignal, sublevel_measure
+from .zeroset import TrigSignal, sublevel_measures
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -104,8 +104,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if int(self.grid) < 2:
             raise ValueError("grid must be at least 2")
-        if not self.tau_max > 0.0:
-            raise ValueError("tau-max must be positive")
+        if not 0.0 < self.tau_max < np.inf:
+            raise ValueError("tau-max must be positive and finite")
         if not self.epsilons or any(not e > 0.0 for e in self.epsilons):
             raise ValueError("every eps must be strictly positive")
         if int(self.target) < 0:
@@ -245,14 +245,12 @@ def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
     sig = TrigSignal.from_state(spectrum, state)
     window = config.tau_max
     base_grid = max(1000, config.grid)
-    rows = []
-    for eps in sorted(set(config.epsilons), reverse=True):
-        report = sublevel_measure(sig, eps, window, base_grid=base_grid)
-        rows.append((report.epsilon, report.measure, report.error_bound, report.converged))
+    epsilons = sorted(set(config.epsilons), reverse=True)
+    reports = sublevel_measures(sig, epsilons, window, base_grid=base_grid)
     serialize.write_csv(
         out_dir / "measure_scaling.csv",
         ("epsilon", "measure", "error_bound", "converged"),
-        rows,
+        [(r.epsilon, r.measure, r.error_bound, r.converged) for r in reports],
     )
     fine, panels, _, converged = claims_mod.paley_wiener_convergence(sig, window, config.grid)
     record = {"window": window, "panels": panels, "value": fine, "converged": converged}

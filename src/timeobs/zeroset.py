@@ -14,7 +14,9 @@ from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
 |f| reach the threshold in its cells.  Crossings and extrema are refined by
 safeguarded Newton inside their brackets, with f, f' and f'' from one phase
 block per point, and a sublevel measure is summed from the sides on which
-its crossing brackets start.  The mean-log integral is lockstep adaptive
+its crossing brackets start.  A ladder of thresholds (sublevel_measures)
+shares one scan and one refinement of each extremum bracket, and refines
+its crossings per threshold.  The mean-log integral is lockstep adaptive
 Gauss-Legendre quadrature with the zeros as panel edges and each zero's log
 singularity integrated in closed form.  Its nodes share the scan's
 phase-table product: the panels of one width sample f at the same offsets
@@ -165,11 +167,10 @@ class MeasureReport:
 
 def _cell_count(sig: TrigSignal, window: float, base_grid: int) -> int:
     """Grid cells satisfying the sampling floor of 20 points per shortest period."""
-    om = float(np.max(np.abs(sig.freqs)))
-    nyquist = 0
-    if om > 0.0:
-        nyquist = int(math.ceil(NYQUIST_PER_PERIOD * window * om / (2.0 * math.pi)))
-    return max(int(base_grid), nyquist, 8)
+    cells = NYQUIST_PER_PERIOD * window * float(np.max(np.abs(sig.freqs))) / (2.0 * math.pi)
+    if not math.isfinite(cells):
+        raise PhysicsError("window times the largest frequency overflows the scan grid")
+    return max(int(base_grid), math.ceil(cells), 8)
 
 
 def _scan_rounding(sig: TrigSignal, window: float) -> float:
@@ -252,8 +253,8 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
     converged root.  A bracket need not change sign: where it does not, the
     side test moves the same end every step and closes the bracket on the
     other.  The open brackets (_open) share one eval_f call per step, for at
-    most cap steps.  Returns the brackets, the step count and how many are
-    still open.
+    most cap steps.  Returns the brackets, the step count and the indices of
+    the brackets still open.
     """
     jet = _Jet(sig)
     lo, hi = lo.copy(), hi.copy()
@@ -271,7 +272,7 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
         x[live] = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
         steps += 1
         live = live[_open(a, b)]
-    return lo, hi, steps, live.size
+    return lo, hi, steps, live
 
 
 def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int, int]:
@@ -292,26 +293,26 @@ def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.nda
         return to_lo, (absf - shift) * absf / (f.real * f1.real + f.imag * f1.imag)
 
     lo, hi, steps, still_open = _newton(sig, lo, hi, probe, _CROSSING_STEPS)
-    return 0.5 * (lo + hi), steps, still_open
+    return 0.5 * (lo + hi), steps, still_open.size
 
 
-def _extrema(sig: TrigSignal, a, b, sign, shift: float):
-    """Minima of sign * (|f| - shift) on all brackets [a, b] in lockstep.
+def _extrema(sig: TrigSignal, a, b, sign):
+    """Minima of sign * |f| on all brackets [a, b] in lockstep.
 
     Newton on s = sign * d|f|^2/dt (s' = 2 sign (|f'|^2 + Re(conj(f) f'')))
     returns the best point it probed, the two bracket ends included, so a
     bracket whose minimum sits at an end returns that end.  Returns the
-    minimizers, the signed minimum values and how many brackets were still
-    open after _EXTREMUM_STEPS steps.
+    minimizers, the signed minimum values sign * |f| and the indices of the
+    brackets still open after _EXTREMUM_STEPS steps.
     """
-    ends = np.tile(sign, 2) * (np.abs(eval_f(sig, np.concatenate([a, b]))) - shift)
+    ends = np.tile(sign, 2) * np.abs(eval_f(sig, np.concatenate([a, b])))
     v_a, v_b = np.split(ends, 2)
     take_a = v_a <= v_b
     best_t, best_v = np.where(take_a, a, b), np.where(take_a, v_a, v_b)
 
     def probe(live, x, jet):
         f, f1, f2 = jet[:, 0], jet[:, 1], jet[:, 2]
-        value = sign[live] * (np.abs(f) - shift)
+        value = sign[live] * np.abs(f)
         better = value < best_v[live]
         best_t[live[better]], best_v[live[better]] = x[better], value[better]
         slope = sign[live] * (f.real * f1.real + f.imag * f1.imag)
@@ -325,77 +326,101 @@ def _extrema(sig: TrigSignal, a, b, sign, shift: float):
 def sublevel_measure(
     sig: TrigSignal, epsilon: float, window: float, base_grid: int = 4096
 ) -> MeasureReport:
-    """Measure of {t in [0, window] : |f(t)| < epsilon}.
+    """Measure of {t in [0, window] : |f(t)| < epsilon}: sublevel_measures at one threshold."""
+    return sublevel_measures(sig, [epsilon], window, base_grid, _stacklevel=3)[0]
 
-    Uniform sampling detects sign changes of |f| - epsilon, each refined by
-    safeguarded Newton on |f| - epsilon to a sign-change bracket of at most
-    1e-12 in t.  A grid minimum above epsilon is promoted to extremum
-    refinement (Newton on d|f|^2/dt) when a chord next to it comes within the
-    screen of epsilon, and a grid maximum below epsilon when it lies within
-    the screen of epsilon (|chord| is convex, so its cell maxima sit at
-    nodes).  The measure sums the intervals between sorted crossings whose
-    crossing bracket starts inside the set.  The error bound is the cell
-    width times the count of cells that passed the chord screen but produced
-    no refined feature.  The report is not converged when a crossing or
-    extremum bracket is still open at its refinement step cap.
+
+def sublevel_measures(
+    sig: TrigSignal, epsilons, window: float, base_grid: int = 4096, *, _stacklevel: int = 2
+) -> list[MeasureReport]:
+    """Measures of {t in [0, window] : |f(t)| < eps}, one report per eps in order.
+
+    One uniform scan serves every threshold.  Its sign changes of |f| - eps
+    are refined by safeguarded Newton on |f| - eps to sign-change brackets of
+    at most 1e-12 in t, in one _crossings call per threshold.  A grid minimum
+    above eps is promoted to extremum refinement (Newton on d|f|^2/dt) when a
+    chord next to it comes within the screen of eps, and a grid maximum below
+    eps when it lies within the screen of eps (|chord| is convex, so its cell
+    maxima sit at nodes); one _extrema call refines the union of these
+    brackets over all thresholds, each keyed by its centre node and sign.  The
+    measure sums the intervals between sorted crossings whose crossing bracket
+    starts inside the set.  The error bound is the cell width times the count
+    of cells that passed the chord screen but produced no refined feature.  A
+    report is not converged when one of its crossing or extremum brackets is
+    still open at its refinement step cap.  A threshold at or above sum|c_j|
+    warns and gets the whole window; when every threshold does, nothing is
+    scanned.  _stacklevel points the warning at the caller's line.
     """
-    if not epsilon > 0.0:
+    if any(not eps > 0.0 for eps in epsilons):
         raise PhysicsError("epsilon must be positive")
-    if not window > 0.0:
-        raise PhysicsError("window must be positive")
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
     if int(base_grid) < 1000:
         raise DimensionError("base_grid must be at least 1000")
-    w = sig.weight()
-    if epsilon >= w:
-        warnings.warn(
-            "threshold at or above max|f|; the whole window qualifies", stacklevel=2
-        )
-        return MeasureReport(epsilon, window, window, 0, 0.0, True)
+    reports = [None] * len(epsilons)
+    for k, eps in enumerate(epsilons):
+        if eps >= sig.weight():
+            message = "threshold at or above max|f|; the whole window qualifies"
+            warnings.warn(message, stacklevel=_stacklevel)
+            reports[k] = MeasureReport(eps, window, window, 0, 0.0, True)
+    todo = [k for k, report in enumerate(reports) if report is None]
+    if not todo:
+        return reports
 
     ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
-    absf = np.abs(fs)
-    gvals = absf - epsilon
-    below = gvals < 0.0
-    cross = np.nonzero(below[:-1] != below[1:])[0]
-    # Cells on which |f| may pass below epsilon, or reach it.
-    may_dip = _chord_distance(fs) - screen < epsilon
-    may_rise = epsilon - np.maximum(absf[:-1], absf[1:]) < screen
-
-    dips, rises = _local_minima(gvals, 0.0), _local_minima(-gvals, 0.0)
-    dips = dips[may_dip[dips - 1] | may_dip[dips]]
-    rises = rises[may_rise[rises - 1] | may_rise[rises]]
-    ext = np.concatenate([dips, rises])
-    sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
-    t_ext, v_ext, ext_open = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, epsilon)
-    hit = v_ext < 0.0
-    ext, t_ext, g_ext = ext[hit], t_ext[hit], (sign * v_ext)[hit]
-
-    # The right half of a split extremum starts at t_ext: inside for a dip.
-    inside_lo = np.concatenate([below[cross], below[ext - 1], g_ext < 0.0])
-    crossings, depth, cross_open = _crossings(
-        sig,
-        np.concatenate([ts[cross], ts[ext - 1], t_ext]),
-        np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
-        inside_lo,
-        epsilon,
-    )
-    refined = np.zeros(n, dtype=bool)
-    refined[cross] = refined[ext - 1] = refined[ext] = True
-
-    # The brackets are disjoint, so the interval before each sorted crossing
-    # lies on its bracket's left side, and the last one on the window end's.
-    order = np.argsort(crossings)
-    edges = np.concatenate([[0.0], crossings[order], [float(window)]])
-    inside = np.append(inside_lo[order], below[-1])
-    measure = min(float(np.sum(np.diff(edges)[inside])), float(window))
-
     h = float(window) / n
-    same_sign = below[:-1] == below[1:]
-    suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
-    error_bound = h * suspicious + BISECTION_TOL * crossings.size
-    converged = ext_open == 0 and cross_open == 0
-    return MeasureReport(epsilon, float(window), measure, depth, error_bound, converged)
+    absf = np.abs(fs)
+    floor = _chord_distance(fs) - screen
+    peak = np.maximum(absf[:-1], absf[1:])
+    levels, keys = [], []
+    for eps in [epsilons[k] for k in todo]:
+        gvals = absf - eps
+        # Cells on which |f| may pass below eps, or reach it.
+        may_dip, may_rise = floor < eps, eps - peak < screen
+        dips, rises = _local_minima(gvals, 0.0), _local_minima(-gvals, 0.0)
+        dips = dips[may_dip[dips - 1] | may_dip[dips]]
+        rises = rises[may_rise[rises - 1] | may_rise[rises]]
+        levels.append((eps, gvals < 0.0, may_dip, may_rise))
+        keys.append(np.concatenate([2 * dips, 2 * rises + 1]))
+    # Key 2i is a dip (sign +1) centred on node i, 2i + 1 a rise (sign -1).
+    union, member = np.unique(np.concatenate(keys), return_inverse=True)
+    centre, sign = union // 2, 1.0 - 2.0 * (union % 2)
+    best_t, best_v, ext_open = _extrema(sig, ts[centre - 1], ts[centre + 1], sign)
+    uses = np.split(member, np.cumsum([key.size for key in keys])[:-1])
+
+    for k, (eps, below, may_dip, may_rise), used in zip(todo, levels, uses):
+        # |f| - eps at each minimizer; a bracket hits eps where sign * that is negative.
+        g_ext = sign[used] * best_v[used] - eps
+        hit = sign[used] * g_ext < 0.0
+        ext, t_ext, g_ext = centre[used][hit], best_t[used][hit], g_ext[hit]
+        cross = np.nonzero(below[:-1] != below[1:])[0]
+
+        # The right half of a split extremum starts at t_ext: inside for a dip.
+        inside_lo = np.concatenate([below[cross], below[ext - 1], g_ext < 0.0])
+        crossings, depth, cross_open = _crossings(
+            sig,
+            np.concatenate([ts[cross], ts[ext - 1], t_ext]),
+            np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
+            inside_lo,
+            eps,
+        )
+        refined = np.zeros(n, dtype=bool)
+        refined[cross] = refined[ext - 1] = refined[ext] = True
+
+        # The brackets are disjoint, so the interval before each sorted crossing
+        # lies on its bracket's left side, and the last one on the window end's.
+        order = np.argsort(crossings)
+        edges = np.concatenate([[0.0], crossings[order], [float(window)]])
+        inside = np.append(inside_lo[order], below[-1])
+        measure = min(float(np.sum(np.diff(edges)[inside])), float(window))
+
+        same_sign = below[:-1] == below[1:]
+        suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
+        error_bound = h * suspicious + BISECTION_TOL * crossings.size
+        converged = cross_open == 0 and not np.isin(used, ext_open).any()
+        reports[k] = MeasureReport(eps, float(window), measure, depth, error_bound, converged)
+    return reports
 
 
 def _merge_tol(window: float) -> float:
@@ -411,8 +436,8 @@ def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[fl
     one of its cells; a refined minimum at or below that is a zero.
     Brackets still open at the refinement step cap raise a RuntimeWarning.
     """
-    if not window > 0.0:
-        raise PhysicsError("window must be positive")
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
     if sig.weight() == 0.0:
         raise ZeroSignalError("signal is identically zero")
     zeros, still_open = _zeros(sig, window, base_grid)
@@ -437,13 +462,13 @@ def _zeros(sig: TrigSignal, window: float, base_grid: int):
     # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
     keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_level
     lo, hi = lo[keep], hi[keep]
-    t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size), 0.0)
+    t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size))
     zeros = np.sort(np.clip(t_min[f_min <= zero_level], 0.0, float(window))).tolist()
     merged: list[float] = []
     for z in zeros:
         if not merged or z - merged[-1] > _merge_tol(window):
             merged.append(z)
-    return merged, still_open
+    return merged, still_open.size
 
 
 def _log(x):
@@ -522,8 +547,8 @@ def paley_wiener_integral(
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
     """
-    if not window > 0.0:
-        raise PhysicsError("window must be positive")
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
     if int(panels) < 100:
         raise DimensionError("panels must be at least 100")
     if sig.weight() == 0.0:

@@ -150,6 +150,20 @@ class TestHappyPaths:
         rows = (out / "measure_scaling.csv").read_text().splitlines()[1:]
         assert "false" in [row.split(",")[3] for row in rows]
 
+    def test_zeroset_scans_three_times(self, tmp_path, monkeypatch):
+        # One scan for the whole eps ladder and one zero search in each
+        # Paley-Wiener integral.
+        scans = []
+        scan = zeroset._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(zeroset, "_scan", counted)
+        assert main(["zeroset", "-o", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
+        assert len(scans) == 3
+
     def test_claims_summary(self, tmp_path):
         out = tmp_path / "out"
         code = main(["claims", "-o", str(out), "--grid", "256", "--seed", "5"])
@@ -236,6 +250,27 @@ class TestFailurePaths:
         assert main([command, "-i", str(doc), "-o", str(out)]) == EXIT_PHYSICS
         assert "finite" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, tau_max, code",
+        [
+            ("zeroset", "inf", EXIT_PARSE),
+            ("claims", "inf", EXIT_PARSE),
+            ("canonical", "inf", EXIT_PARSE),
+            ("zeroset", "nan", EXIT_PARSE),
+            ("zeroset", "1e308", EXIT_PHYSICS),
+        ],
+        ids=["zeroset-inf", "claims-inf", "canonical-inf", "zeroset-nan", "zeroset-1e308"],
+    )
+    def test_non_finite_or_overflowing_window_exits_without_artifacts(
+        self, tmp_path, capsys, command, tau_max, code
+    ):
+        # At 1e308 the scan's cell count 20 * window * max|omega| / (2 pi) overflows.
+        out = tmp_path / "o"
+        assert main([command, "-o", str(out), "--tau-max", tau_max]) == code
+        err = capsys.readouterr().err
+        assert "finite" in err or "overflows" in err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "args",

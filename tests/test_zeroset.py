@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from timeobs import (
     project_to_zero_sum,
     random_state,
     sublevel_measure,
+    sublevel_measures,
 )
 from timeobs import zeroset
 from timeobs.claims import paley_wiener_convergence, run_claims
@@ -313,6 +315,19 @@ class TestSublevelMeasure:
         assert report.measure == pytest.approx(4.0 * math.asin(eps / math.sqrt(2.0)), abs=1e-9)
         assert report.refinement_depth > 0
 
+    def test_peak_between_nodes_is_found(self, balanced_signal):
+        # |f|^2 = 1 + cos t peaks at 2 pi between two nodes of the 4096-cell grid
+        # on [0, 7], and those nodes lie below eps: only the refinement of that
+        # grid maximum finds the interval around 2 pi where |f| >= eps.
+        eps = balanced_signal.weight() * (1.0 - 1e-8)
+        nodes = np.linspace(0.0, 7.0, 4097)
+        near = nodes[np.abs(nodes - TWO_PI) < 0.01]
+        assert np.all(np.abs(eval_f(balanced_signal, near)) < eps)
+        report = _converged(sublevel_measure(balanced_signal, eps, 7.0))
+        # {cos t < eps^2 - 1} on [0, 7] leaves out [0, a), (2 pi - a, 2 pi + a).
+        a = math.acos(eps * eps - 1.0)
+        assert report.measure == pytest.approx(7.0 - 3.0 * a, abs=1e-9)
+
     def test_brute_force_grid_oracle(self, balanced_signal):
         # independent oracle: fraction of 1e7 midpoint samples below threshold
         eps = 0.1
@@ -369,9 +384,21 @@ class TestSublevelMeasure:
         with pytest.raises(PhysicsError):
             sublevel_measure(balanced_signal, -0.1, TWO_PI)
         with pytest.raises(PhysicsError):
+            sublevel_measures(balanced_signal, [0.1, -0.1], TWO_PI)
+        with pytest.raises(PhysicsError):
             sublevel_measure(balanced_signal, 0.1, 0.0)
         with pytest.raises(DimensionError):
             sublevel_measure(balanced_signal, 0.1, TWO_PI, base_grid=100)
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
+    def test_non_finite_or_overflowing_window_raises(self, balanced_signal, window):
+        # At 1e308 the scan's cell count 20 * window * max|omega| / (2 pi) overflows.
+        with pytest.raises(PhysicsError, match="finite|overflows"):
+            sublevel_measures(balanced_signal, [0.1], window)
+        with pytest.raises(PhysicsError, match="finite|overflows"):
+            find_zeros(balanced_signal, window)
+        with pytest.raises(PhysicsError, match="finite|overflows"):
+            paley_wiener_integral(balanced_signal, window)
 
     def test_report_invariants(self):
         with pytest.raises(PhysicsError):
@@ -381,6 +408,79 @@ class TestSublevelMeasure:
         # converged has no default: every report states it.
         with pytest.raises(TypeError):
             MeasureReport(0.1, 1.0, measure=0.5, refinement_depth=0, error_bound=0.0)
+
+
+def _report_bits(report):
+    return (
+        float(report.measure).hex(),
+        float(report.error_bound).hex(),
+        report.refinement_depth,
+        report.converged,
+    )
+
+
+class TestSublevelLadder:
+    # Unsorted thresholds, a repeated one, and one at or above sum|c_j|.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        window=st.floats(0.5, 15.0),
+        scales=st.lists(st.floats(-7.0, 0.0), min_size=1, max_size=5),
+    )
+    @example(seed=3, n=6, window=9.0, scales=[-1.0, -4.0, -2.0])
+    def test_ladder_is_bit_equal_to_one_call_per_threshold(self, seed, n, window, scales):
+        sig = _random_signal(seed, n)
+        w = sig.weight()
+        epsilons = [w * 10.0**s for s in scales] + [w * 10.0 ** scales[0], 1.5 * w]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            ladder = sublevel_measures(sig, epsilons, window, base_grid=1000)
+            single = [sublevel_measure(sig, eps, window, base_grid=1000) for eps in epsilons]
+        assert [r.epsilon for r in ladder] == epsilons
+        assert [_report_bits(r) for r in ladder] == [_report_bits(r) for r in single]
+
+    def test_threshold_above_maximum_warns_for_that_threshold_only(self, monkeypatch, balanced_signal):
+        w = balanced_signal.weight()
+        with pytest.warns(UserWarning, match="threshold at or above max") as caught:
+            low, at, above = sublevel_measures(balanced_signal, [0.1, w, 2.0 * w], TWO_PI)
+        assert len(caught) == 2
+        assert low.measure == pytest.approx(4.0 * math.asin(0.1 / math.sqrt(2.0)), abs=1e-9)
+        for report in (at, above):
+            assert (report.measure, report.error_bound, report.converged) == (TWO_PI, 0.0, True)
+        scans = []
+        monkeypatch.setattr(zeroset, "_scan", lambda *args: scans.append(args))
+        with pytest.warns(UserWarning) as caught:
+            reports = sublevel_measures(balanced_signal, [w, 3.0 * w], TWO_PI)
+        assert len(caught) == 2 and not scans
+        assert [r.measure for r in reports] == [TWO_PI, TWO_PI]
+
+    def test_warning_names_the_callers_line(self, balanced_signal):
+        with pytest.warns(UserWarning) as caught:
+            line = sys._getframe().f_lineno + 1
+            sublevel_measure(balanced_signal, 1.5, TWO_PI)
+            sublevel_measures(balanced_signal, [1.5], TWO_PI)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line), (__file__, line + 1)]
+
+    def test_open_extremum_bracket_fails_only_the_thresholds_that_use_it(self, monkeypatch, balanced_signal):
+        # At eps 0.5 the dip at pi spans many cells: crossings only.  At 1e-4 it is
+        # narrower than a cell, and its extremum bracket stays open after one step.
+        monkeypatch.setattr(zeroset, "_EXTREMUM_STEPS", 1)
+        reports = sublevel_measures(balanced_signal, [0.5, 1e-4], 7.0)
+        assert [r.converged for r in reports] == [True, False]
+
+    def test_run_claims_scans_three_times(self, monkeypatch):
+        # One ladder scan and one zero search in each Paley-Wiener integral.
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return _scan(*args)
+
+        monkeypatch.setattr(zeroset, "_scan", counted)
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        assert run_claims(spec, random_state(8, 7, in_zero_sum=True))["all_demonstrated"]
+        assert len(scans) == 3
 
 
 def _scalar_golden(fun, a, b):
@@ -466,11 +566,11 @@ class TestLockstepRefiners:
         dips, rises = _local_minima(absf, -np.inf), _local_minima(-absf, -np.inf)
         ext = np.concatenate([dips, rises])
         sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
-        t_ext, v_ext, still_open = _extrema(sig, ts[ext - 1], ts[ext + 1], sign, eps)
-        assert still_open == 0
+        t_ext, v_ext, still_open = _extrema(sig, ts[ext - 1], ts[ext + 1], sign)
+        assert still_open.size == 0
         for k, e in enumerate(ext):
             _, v_ref = _scalar_golden(
-                lambda t: sign[k] * (abs(eval_f(sig, t)) - eps), ts[e - 1], ts[e + 1]
+                lambda t: sign[k] * abs(eval_f(sig, t)), ts[e - 1], ts[e + 1]
             )
             assert ts[e - 1] < t_ext[k] < ts[e + 1]
             # The two minimizers differ, so each value carries its own rounding.
@@ -495,6 +595,25 @@ class TestLockstepRefiners:
         np.testing.assert_allclose(zeros, [0.0, TWO_PI], rtol=0, atol=1e-8)
         assert points <= 13_435
         assert calls <= 170
+
+    def test_refinement_points_of_one_box32_ladder(self, monkeypatch):
+        # One scan and one extremum refinement serve all 11 thresholds: 8 000
+        # points in 86 calls here, against 8 823 in 155 at one call per eps.
+        sig = _box32_benchmark_signal()
+        points = calls = 0
+
+        def counted(s, t):
+            nonlocal points, calls
+            points += np.size(t)
+            calls += 1
+            return eval_f(s, t)
+
+        monkeypatch.setattr(zeroset, "eval_f", counted)
+        epsilons = [0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6]
+        for report in sublevel_measures(sig, epsilons, 10.0, base_grid=1000):
+            _converged(report)
+        assert points <= 8_000
+        assert calls <= 86
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -530,14 +649,12 @@ class TestLockstepRefiners:
         a = np.array([0.5, 0.5, TWO_PI - 0.3, math.pi - 0.2])
         b = np.array([1.0, 1.0, TWO_PI + 0.5, math.pi + 0.4])
         sign = np.array([1.0, -1.0, 1.0, -1.0])
-        t, v, still_open = _extrema(balanced_signal, a, b, sign, 0.3)
-        assert still_open == 0
+        t, v, still_open = _extrema(balanced_signal, a, b, sign)
+        assert still_open.size == 0
         # Monotone |f|: the lower end of sign * |f|.  Around a maximum of
         # sign * |f|: the end farther from it.
         np.testing.assert_array_equal(t, [1.0, 0.5, TWO_PI + 0.5, math.pi + 0.4])
-        np.testing.assert_allclose(
-            v, sign * (np.abs(eval_f(balanced_signal, t)) - 0.3), rtol=0, atol=1e-15
-        )
+        np.testing.assert_allclose(v, sign * np.abs(eval_f(balanced_signal, t)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("cap", ["_CROSSING_STEPS", "_EXTREMUM_STEPS"])
     def test_step_cap_hit_is_reported_by_sublevel_measure(self, monkeypatch, balanced_signal, cap):
@@ -551,7 +668,8 @@ class TestLockstepRefiners:
         assert not report.converged
 
     def test_step_cap_hit_fails_claim_iii(self, monkeypatch):
-        # Each of the seven sublevel_measure calls leaves crossing brackets open.
+        # The sublevel_measures call leaves crossing brackets open at each of its
+        # seven thresholds.
         spec = build_spectrum("harmonic", 8, omega=1.0)
         psi = random_state(8, 7, in_zero_sum=True)
         monkeypatch.setattr(zeroset, "_CROSSING_STEPS", 1)

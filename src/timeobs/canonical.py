@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PhysicsError
-from .spectral import EnergySpectrum, QuantumState, evolve
+from .spectral import EnergySpectrum, QuantumState, _frozen, evolve
 from .zeroset import TrigSignal, eval_f
 
 
@@ -41,9 +41,7 @@ class CanonicalDensity:
             raise DimensionError("amplitudes must match the spectrum length")
         if not self.gamma > 0.0:
             raise PhysicsError("gamma must be positive")
-        amps = np.array(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen(amps, complex))
         object.__setattr__(self, "gamma", float(self.gamma))
 
     @classmethod

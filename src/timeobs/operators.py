@@ -5,6 +5,7 @@ the diagonal Hamiltonian, exact and weak commutators, and the scans that probe
 whether the operator's statistics track elapsed time.  `commutator_defects`
 compares [T, H] with its closed form i*hbar*(I - J) tile by tile, without
 building H, the commutator or the weak form as N x N matrices.
+Hermiticity is measured, never stored: `spectral_norm` scans every operator.
 
 Every N x N buffer is allocated once.  `OperatorMatrix` keeps an array as is
 when it is complex, owns its data and is already read-only, or when
@@ -28,6 +29,7 @@ from .spectral import (
     MEMBERSHIP_TOL,
     EnergySpectrum,
     QuantumState,
+    _frozen,
     coefficient_sum,
 )
 from .zeroset import _BLOCK_ENTRIES, TrigSignal, _phases, eval_f
@@ -44,7 +46,6 @@ class OperatorMatrix:
     """Dense N x N complex matrix in the energy eigenbasis."""
 
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         given = self.entries
@@ -53,10 +54,6 @@ class OperatorMatrix:
             raise DimensionError("operator entries must form a square matrix")
         if entries.shape[0] < 1:
             raise DimensionError("operator must be at least 1 x 1")
-        if self.hermitian and not hermiticity_defect(entries) <= HERMITICITY_TOL:
-            raise DimensionError(
-                f"matrix tagged hermitian has defect above {HERMITICITY_TOL}"
-            )
         # Keep an owned buffer that is read-only or was just converted; copy
         # anything a caller could still write through.
         if entries.base is not None or (entries is given and entries.flags.writeable):
@@ -102,10 +99,8 @@ class DeviationSeries:
             raise DimensionError("values and taus must have equal length")
         if taus.size > 1 and not np.all(np.diff(taus) > 0.0):
             raise DimensionError("time grid must be strictly increasing")
-        for name, arr in (("taus", taus), ("values", values)):
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "taus", _frozen(taus, float))
+        object.__setattr__(self, "values", _frozen(values, float))
 
 
 def build_time_operator(spectrum: EnergySpectrum) -> OperatorMatrix:
@@ -124,20 +119,20 @@ def build_time_operator(spectrum: EnergySpectrum) -> OperatorMatrix:
         np.fill_diagonal(gaps[:, r:], 1.0)  # placeholder; diagonal zeroed below
         np.divide(1j * spectrum.hbar, gaps, out=entries[r:r + _TILE_ROWS])
     np.fill_diagonal(entries, 0.0)
-    return _handed_over(entries, hermitian=True)
+    return _handed_over(entries)
 
 
 def build_hamiltonian(spectrum: EnergySpectrum) -> OperatorMatrix:
     """Diagonal matrix of the energy levels."""
     entries = np.zeros((spectrum.size, spectrum.size), dtype=complex)
     np.fill_diagonal(entries, spectrum.levels)
-    return _handed_over(entries, hermitian=True)
+    return _handed_over(entries)
 
 
-def _handed_over(entries: np.ndarray, hermitian: bool = False) -> OperatorMatrix:
+def _handed_over(entries: np.ndarray) -> OperatorMatrix:
     """Freeze a builder's own buffer so that `OperatorMatrix` keeps it uncopied."""
     entries.setflags(write=False)
-    return OperatorMatrix(entries, hermitian=hermitian)
+    return OperatorMatrix(entries)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -232,16 +227,14 @@ def expectation(op: OperatorMatrix, state: QuantumState) -> complex:
 def spectral_norm(op: OperatorMatrix) -> float:
     """2-norm of a Hermitian operator.
 
-    eigvalsh reads one triangle only, so a non-Hermitian operator is rejected,
-    and so is one whose defect is NaN.
-    An operator tagged `hermitian` passed that check when it was built, and
-    its entries are read-only, so it is not scanned again.
+    eigvalsh reads one triangle only, so every operator is scanned first: one
+    whose `hermiticity_defect` is above HERMITICITY_TOL, or NaN, is rejected.
 
     A purely imaginary Hermitian operator, such as the time operator, is i*K
     with K real antisymmetric, so its norm is sqrt(lambda_max(K^T K)) in real
     arithmetic. Any other operator is max|eigvalsh(op)|.
     """
-    if not op.hermitian and not hermiticity_defect(op.entries) <= HERMITICITY_TOL:
+    if not hermiticity_defect(op.entries) <= HERMITICITY_TOL:
         raise DimensionError(
             f"spectral_norm needs a Hermitian operator, defect above {HERMITICITY_TOL}"
         )
@@ -277,8 +270,7 @@ def covariance_deviation(
         np.conj(states, out=states)
         expect[start:start + rows] = np.einsum("kj,kj->k", states, applied).real
         del states, applied  # the next block's phases are built without them
-    base = float(np.real(state.coeffs.conj() @ t_op.entries @ state.coeffs))
-    return DeviationSeries(taus, expect - base - taus)
+    return DeviationSeries(taus, expect - expectation(t_op, state).real - taus)
 
 
 def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> DeviationSeries:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .operators import OperatorMatrix
-from .spectral import EnergySpectrum, QuantumState, build_spectrum
+from .spectral import SPECTRUM_KINDS, EnergySpectrum, QuantumState, build_spectrum
 
 SPECTRUM_KEY = "spectrum"
 STATE_KEY = "state"
@@ -71,25 +71,20 @@ def spectrum_from_dict(doc: dict) -> EnergySpectrum:
     if not isinstance(doc, dict):
         raise SchemaError("spectrum: expected an object")
     kind = _require(doc, "kind", "spectrum")
-    if kind == "harmonic":
-        n = _as_int(_require(doc, "n", "spectrum"), "spectrum.n")
-        omega = _as_number(doc.get("omega", 1.0), "spectrum.omega")
-        hbar = _as_number(doc.get("hbar", 1.0), "spectrum.hbar")
-        return build_spectrum("harmonic", n, omega=omega, hbar=hbar)
-    if kind == "box":
-        n = _as_int(_require(doc, "n", "spectrum"), "spectrum.n")
-        scale = _as_number(doc.get("scale", 1.0), "spectrum.scale")
-        hbar = _as_number(doc.get("hbar", 1.0), "spectrum.hbar")
-        return build_spectrum("box", n, scale=scale, hbar=hbar)
+    if kind not in SPECTRUM_KINDS:
+        raise SchemaError(f"spectrum.kind: unknown kind {kind!r}")
+    hbar = _as_number(doc.get("hbar", 1.0), "spectrum.hbar")
     if kind == "custom":
         levels = _as_number_list(_require(doc, "levels", "spectrum"), "spectrum.levels")
-        hbar = _as_number(doc.get("hbar", 1.0), "spectrum.hbar")
         label = doc.get("label", "custom")
         if not isinstance(label, str):
             raise SchemaError("spectrum.label: expected a string")
         spec = build_spectrum("custom", len(levels), levels=levels, hbar=hbar)
         return EnergySpectrum(spec.levels, hbar=spec.hbar, label=label)
-    raise SchemaError(f"spectrum.kind: unknown kind {kind!r}")
+    n = _as_int(_require(doc, "n", "spectrum"), "spectrum.n")
+    knob = "omega" if kind == "harmonic" else "scale"
+    value = _as_number(doc.get(knob, 1.0), f"spectrum.{knob}")
+    return build_spectrum(kind, n, hbar=hbar, **{knob: value})
 
 
 def state_to_dict(state: QuantumState) -> dict:
@@ -209,28 +204,23 @@ def _json_chunks(obj, indent: str):
             [_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object
         )
         yield from _array_chunks(texts, distinct, bits, indent)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, dict)):
+        if isinstance(obj, dict):
+            opening, closing = "{}"
+            items = ((_key_text(key) + ": ", value) for key, value in sorted(obj.items()))
+        else:
+            opening, closing = "[]"
+            items = (("", value) for value in obj)
         if not obj:
-            yield "[]"
+            yield opening + closing
             return
         inner = indent + "  "
-        sep = "[\n" + inner
-        for value in obj:
-            yield sep
+        sep = opening + "\n" + inner
+        for prefix, value in items:
+            yield sep + prefix
             yield from _json_chunks(value, inner)
             sep = ",\n" + inner
-        yield "\n" + indent + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, value in sorted(obj.items()):
-            yield sep + _key_text(key) + ": "
-            yield from _json_chunks(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "}"
+        yield "\n" + indent + closing
     else:
         yield json.dumps(obj)
 

@@ -147,13 +147,19 @@ def build_spectrum(
 
 
 def evolve(state: QuantumState, spectrum: EnergySpectrum, tau: float) -> QuantumState:
-    """Phase evolution c_j -> c_j * exp(-i E_j tau / hbar); norm-preserving."""
+    """Phase evolution c_j -> c_j * exp(-i E_j tau / hbar); norm-preserving.
+
+    A phase angle E_j tau / hbar that is not finite raises PhysicsError.
+    """
     if state.size != spectrum.size:
         raise DimensionError(
             f"state length {state.size} does not match spectrum length {spectrum.size}"
         )
-    phases = np.exp(-1j * spectrum.levels * (float(tau) / spectrum.hbar))
-    return QuantumState(state.coeffs * phases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = -1j * spectrum.levels * (float(tau) / spectrum.hbar)
+    if not np.all(np.isfinite(angles)):
+        raise PhysicsError("phase angles E * tau / hbar must be finite")
+    return QuantumState(state.coeffs * np.exp(angles))
 
 
 def coefficient_sum(state: QuantumState) -> complex:

@@ -43,7 +43,7 @@ from .errors import (
     PhysicsError,
     ZeroSignalError,
 )
-from .spectral import EnergySpectrum, QuantumState
+from .spectral import EnergySpectrum, QuantumState, _frozen
 
 BISECTION_TOL = 1e-12
 PANEL_TOL = 1e-9
@@ -76,10 +76,8 @@ class TrigSignal:
             raise PhysicsError("frequencies and amplitudes must be finite")
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
             raise DimensionError("frequencies must be strictly increasing")
-        for name, arr in (("freqs", freqs), ("amps", amps)):
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "freqs", _frozen(freqs, float))
+        object.__setattr__(self, "amps", _frozen(amps, complex))
 
     @classmethod
     def from_state(cls, spectrum: EnergySpectrum, state: QuantumState) -> "TrigSignal":
@@ -113,13 +111,18 @@ def eval_f(sig: TrigSignal, t):
     """Evaluate the sum at a scalar or array of times, in bounded-memory blocks.
 
     A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.
+    numpy multiplies a one-row table by another kernel, with other last bits,
+    so a one-row block (a scalar, a lone Newton iterate, a trailing block) is
+    evaluated as two equal rows: a point's bits do not depend on its call.
     """
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     vals = np.empty((flat.size,) + sig.amps.shape[1:], dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // sig.count)
     for start in range(0, flat.size, rows):
-        vals[start:start + rows] = _phases(flat[start:start + rows], sig.freqs) @ sig.amps
+        block = flat[start:start + rows]
+        padded = np.repeat(block, 2) if block.size == 1 else block
+        vals[start:start + block.size] = (_phases(padded, sig.freqs) @ sig.amps)[:block.size]
     out = vals.reshape(t_arr.shape + sig.amps.shape[1:])
     return complex(out) if out.ndim == 0 else out
 

@@ -15,7 +15,7 @@ from timeobs import (
     random_state,
     weak_commutator,
 )
-from timeobs import serialize, zeroset
+from timeobs import cli, operators, serialize, zeroset
 from timeobs.cli import EXIT_OK, EXIT_PARSE, EXIT_PHYSICS, main
 
 
@@ -164,6 +164,23 @@ class TestHappyPaths:
         assert main(["zeroset", "-o", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
         assert len(scans) == 3
 
+    @pytest.mark.parametrize("command, scans", [("tg", 2), ("claims", 1)])
+    def test_hermiticity_is_scanned_only_where_it_is_measured(
+        self, tmp_path, monkeypatch, command, scans
+    ):
+        # tg reports the defect and gates spectral_norm on it; claims only
+        # gates spectral_norm.  No builder scans the operator it builds.
+        calls = []
+
+        def counted(entries):
+            calls.append(entries.shape)
+            return hermiticity_defect(entries)
+
+        monkeypatch.setattr(operators, "hermiticity_defect", counted)
+        monkeypatch.setattr(cli, "hermiticity_defect", counted)
+        assert main([command, "-o", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == scans
+
     def test_claims_summary(self, tmp_path):
         out = tmp_path / "out"
         code = main(["claims", "-o", str(out), "--grid", "256", "--seed", "5"])
@@ -259,13 +276,24 @@ class TestFailurePaths:
             ("canonical", "inf", EXIT_PARSE),
             ("zeroset", "nan", EXIT_PARSE),
             ("zeroset", "1e308", EXIT_PHYSICS),
+            ("claims", "1e308", EXIT_PHYSICS),
+            ("canonical", "1e308", EXIT_PHYSICS),
         ],
-        ids=["zeroset-inf", "claims-inf", "canonical-inf", "zeroset-nan", "zeroset-1e308"],
+        ids=[
+            "zeroset-inf",
+            "claims-inf",
+            "canonical-inf",
+            "zeroset-nan",
+            "zeroset-1e308",
+            "claims-1e308",
+            "canonical-1e308",
+        ],
     )
     def test_non_finite_or_overflowing_window_exits_without_artifacts(
         self, tmp_path, capsys, command, tau_max, code
     ):
-        # At 1e308 the scan's cell count 20 * window * max|omega| / (2 pi) overflows.
+        # At 1e308 the scan's cell count 20 * window * max|omega| / (2 pi)
+        # overflows, and so do the phase angles of evolving by tau_max / 2.
         out = tmp_path / "o"
         assert main([command, "-o", str(out), "--tau-max", tau_max]) == code
         err = capsys.readouterr().err

@@ -88,10 +88,6 @@ class TestHamiltonian:
         ham = build_hamiltonian(build_spectrum("box", 3))
         np.testing.assert_allclose(np.diag(ham.entries).real, [1.0, 4.0, 9.0])
 
-    def test_hermitian_tag(self):
-        ham = build_hamiltonian(build_spectrum("box", 3))
-        assert ham.hermitian
-
     @pytest.mark.parametrize("levels", [[-1.5, -0.0, 2.0], [-3.0, 0.0, 0.25, 7.0]])
     def test_entries_bit_equal_complex_diag(self, levels):
         spec = build_spectrum("custom", len(levels), levels=levels)
@@ -270,7 +266,7 @@ class TestBuildersBitEqual:
 class TestOperatorBuffers:
     def test_writable_input_is_copied(self):
         given = build_time_operator(build_spectrum("box", 5)).entries.copy()
-        op = OperatorMatrix(given, hermitian=True)
+        op = OperatorMatrix(given)
         before = op.entries.copy()
         given[0, 1] = 99.0
         assert op.entries is not given
@@ -281,7 +277,7 @@ class TestOperatorBuffers:
         base = np.eye(4, dtype=complex)
         given = view(base)
         given.setflags(write=False)
-        op = OperatorMatrix(given, hermitian=True)
+        op = OperatorMatrix(given)
         base[1, 2] = 7.0
         np.testing.assert_array_equal(op.entries, np.eye(4))
 
@@ -298,7 +294,7 @@ class TestOperatorBuffers:
         given.setflags(write=False)
         assert OperatorMatrix(given).entries is given
         top = build_time_operator(build_spectrum("harmonic", 4))
-        assert OperatorMatrix(top.entries, hermitian=True).entries is top.entries
+        assert OperatorMatrix(top.entries).entries is top.entries
 
 
 class TestBuilderMemory:
@@ -652,9 +648,9 @@ class TestOperatorMatrix:
         with pytest.raises(DimensionError):
             OperatorMatrix(np.zeros((2, 3)))
 
-    def test_rejects_false_hermitian_tag(self):
+    def test_spectral_norm_rejects_non_hermitian(self):
         with pytest.raises(DimensionError):
-            OperatorMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), hermitian=True)
+            spectral_norm(OperatorMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
 
     @pytest.mark.parametrize("salt", [complex(math.nan, 0.0), complex(0.0, math.nan)])
     def test_rejects_nan_defect(self, salt):
@@ -663,7 +659,7 @@ class TestOperatorMatrix:
         entries[2, 1] = salt
         assert math.isnan(hermiticity_defect(entries))
         with pytest.raises(DimensionError):
-            OperatorMatrix(entries, hermitian=True)
+            spectral_norm(OperatorMatrix(entries))
 
     @pytest.mark.parametrize("n, j, k", [(6, 5, 2), (130, 129, 0), (130, 100, 70)])
     def test_rejects_defect_in_lower_triangle_only(self, n, j, k):
@@ -671,7 +667,7 @@ class TestOperatorMatrix:
         entries[j, k] += 1e-9
         assert hermiticity_defect(entries) > operators.HERMITICITY_TOL
         with pytest.raises(DimensionError):
-            OperatorMatrix(entries, hermitian=True)
+            spectral_norm(OperatorMatrix(entries))
 
 
 _SALTS = (math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0)

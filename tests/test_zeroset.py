@@ -196,6 +196,22 @@ class TestSignal:
         )
         np.testing.assert_allclose(eval_f(_Jet(sig), ts), direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("jet", [False, True], ids=["signal", "jet"])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_point_bits_do_not_depend_on_its_block(self, monkeypatch, n, jet):
+        # numpy multiplies a one-row table by another kernel than a taller one.
+        sig = _random_signal(17, n)
+        target = _Jet(sig) if jet else sig
+        ts = np.random.default_rng(n).uniform(0.0, 50.0, 9)
+        together = eval_f(target, ts)
+        alone = np.array([eval_f(target, ts[i:i + 1])[0] for i in range(ts.size)])
+        scalar = np.array([eval_f(target, float(t)) for t in ts])
+        # Blocks of 4, 4 and 1 rows: the trailing block is one row.
+        monkeypatch.setattr(zeroset, "_BLOCK_ENTRIES", 4 * n)
+        blocked = eval_f(target, ts)
+        for other in (alone, scalar, blocked):
+            np.testing.assert_array_equal(other.view(np.int64), together.view(np.int64))
+
 
 SCAN_CASES = {
     # (kind or "random", N, seed, window, stride between compared grid points)
@@ -429,6 +445,8 @@ class TestSublevelLadder:
         scales=st.lists(st.floats(-7.0, 0.0), min_size=1, max_size=5),
     )
     @example(seed=3, n=6, window=9.0, scales=[-1.0, -4.0, -2.0])
+    # A bracket left alone in one Newton step was a one-row eval_f block.
+    @example(seed=26074, n=5, window=14.0, scales=[-2.0, -2.5])
     def test_ladder_is_bit_equal_to_one_call_per_threshold(self, seed, n, window, scales):
         sig = _random_signal(seed, n)
         w = sig.weight()

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, PhysicsError
 from .spectral import EnergySpectrum, QuantumState, _frozen, evolve
-from .zeroset import TrigSignal, eval_f
+from .zeroset import TrigSignal, _require_finite_phases, eval_f
 
 
 def normalized_gamma(amplitudes) -> float:
@@ -56,9 +56,11 @@ def density_at(density: CanonicalDensity, t):
     """Evaluate p at a scalar or array of times; nonnegative by construction.
 
     |sum_j c_j e^{+i w_j t}| = |sum_j conj(c_j) e^{-i w_j t}|, so eval_f and its
-    bounded-memory blocks do the summation.
+    bounded-memory blocks do the summation.  A time whose phase t * omega is
+    not finite raises PhysicsError.
     """
     sig = TrigSignal(density.spectrum.frequencies(), np.conj(density.amplitudes))
+    _require_finite_phases(t, sig.freqs)
     vals = np.abs(eval_f(sig, t)) ** 2 / density.gamma
     return float(vals) if np.ndim(t) == 0 else vals
 

@@ -32,7 +32,7 @@ from .spectral import (
     _frozen,
     coefficient_sum,
 )
-from .zeroset import _BLOCK_ENTRIES, TrigSignal, _phases, eval_f
+from .zeroset import TrigSignal, _phases, _require_finite_phases, _row_blocks, eval_f
 
 HERMITICITY_TOL = 1e-13
 
@@ -249,8 +249,10 @@ def covariance_deviation(
 ) -> DeviationSeries:
     """Re<T>_tau - Re<T>_0 - tau over the grid.
 
-    The evolved states are built in row blocks of _BLOCK_ENTRIES phase entries,
-    each applied to T by one product, so memory does not grow with the grid.
+    The evolved states are built in the phase-table blocks of
+    zeroset._row_blocks (4 MiB at most, 16 bytes per entry, no lone trailing
+    row), each applied to T by one product, so memory does not grow with the
+    grid; a tau whose phase tau * omega is not finite raises PhysicsError.
     The expectation is bounded by the spectral norm of the operator while tau
     is unbounded, so the deviation grows without bound: the statistics cannot
     track elapsed time.
@@ -260,15 +262,15 @@ def covariance_deviation(
         raise DimensionError("time grid must be a nonempty vector")
     if state.size != spectrum.size:
         raise DimensionError("state length does not match spectrum length")
-    t_op = build_time_operator(spectrum)
     freqs = spectrum.frequencies()
+    _require_finite_phases(taus, freqs)
+    t_op = build_time_operator(spectrum)
     expect = np.empty(taus.size)
-    rows = max(1, _BLOCK_ENTRIES // spectrum.size)
-    for start in range(0, taus.size, rows):
-        states = _phases(taus[start:start + rows], freqs, state.coeffs)
+    for rows in _row_blocks(taus.size, spectrum.size):
+        states = _phases(taus[rows], freqs, state.coeffs)
         applied = states @ t_op.entries.T
         np.conj(states, out=states)
-        expect[start:start + rows] = np.einsum("kj,kj->k", states, applied).real
+        expect[rows] = np.einsum("kj,kj->k", states, applied).real
         del states, applied  # the next block's phases are built without them
     return DeviationSeries(taus, expect - expectation(t_op, state).real - taus)
 
@@ -278,7 +280,8 @@ def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> Dev
 
     The state must pass the membership test |sum_j c_j| <= MEMBERSHIP_TOL.
     Values above ~10x that tolerance show the subspace is not invariant under
-    evolution: membership at tau=0 is lost at later times.
+    evolution: membership at tau=0 is lost at later times.  A tau whose
+    phase tau * omega is not finite raises PhysicsError.
     """
     s0 = abs(coefficient_sum(state))
     if s0 > MEMBERSHIP_TOL:
@@ -288,7 +291,9 @@ def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> Dev
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise DimensionError("time grid must be a nonempty vector")
-    return DeviationSeries(taus, np.abs(eval_f(TrigSignal.from_state(spectrum, state), taus)))
+    sig = TrigSignal.from_state(spectrum, state)
+    _require_finite_phases(taus, sig.freqs)
+    return DeviationSeries(taus, np.abs(eval_f(sig, taus)))
 
 
 def project_to_zero_sum(state: QuantumState) -> QuantumState:

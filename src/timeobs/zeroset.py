@@ -53,7 +53,7 @@ DENOMINATOR_CAP = 10**9
 _LOG_FLOOR = 1e-300  # keeps log finite if a sample lands exactly on a zero
 _MAX_LEVELS = 40  # halvings of a Paley-Wiener panel before the level cap
 _PANEL_BLOCK = 2**12  # Paley-Wiener panels per _panel_rules call: 147 k nodes
-_BLOCK_ENTRIES = 2**20  # phase entries per eval_f or _phase_product block: 16 MiB
+_BLOCK_ENTRIES = 2**18  # phase entries per table block (_row_blocks): 4 MiB at 16 bytes each
 _CROSSING_STEPS = 80  # lockstep steps of _crossings before the step cap
 _EXTREMUM_STEPS = 200  # lockstep steps of _extrema before the step cap
 
@@ -99,30 +99,67 @@ class TrigSignal:
 
 
 def _phases(t: np.ndarray, freqs: np.ndarray, amps=None) -> np.ndarray:
-    """e^{-i t omega} as a (t, freqs) table, times amps when given, built in place."""
-    z = np.outer(t, freqs) * -1j
+    """e^{-i t omega} as a (t, freqs) table, times amps when given, built in place.
+
+    The argument -(t omega) is written straight into the imaginary part of
+    the table, at 16 bytes per entry and with no temporary.  It has the bits
+    of np.outer(t, freqs) * -1j, whose imaginary part is -(t omega) + -0.0,
+    equal to -(t omega) signed zeros included, and whose real part is +0.0.
+    """
+    z = np.empty((t.size, freqs.size), dtype=complex)
+    z.real = 0.0
+    np.multiply.outer(t, freqs, out=z.imag)
+    np.negative(z.imag, out=z.imag)
     np.exp(z, out=z)
     if amps is not None:
         z *= amps
     return z
 
 
-def eval_f(sig: TrigSignal, t):
-    """Evaluate the sum at a scalar or array of times, in bounded-memory blocks.
+def _require_finite_phases(t, freqs: np.ndarray) -> None:
+    """PhysicsError unless every phase argument t * omega is finite.
 
-    A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.
-    numpy multiplies a one-row table by another kernel, with other last bits,
-    so a one-row block (a scalar, a lone Newton iterate, a trailing block) is
-    evaluated as two equal rows: a point's bits do not depend on its call.
+    Rounding is monotone, so max|t| max|omega| overflows exactly when some
+    t * omega does.  Entry points that take a caller's time grid check once;
+    the refinement loops, whose times lie in a checked window, do not.
+    """
+    reach = float(np.max(np.abs(t), initial=0.0)) * float(np.max(np.abs(freqs)))
+    if not math.isfinite(reach):
+        raise PhysicsError("phase arguments t * omega must be finite")
+
+
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """Row slices of a count x width phase table, _BLOCK_ENTRIES // width rows each.
+
+    numpy multiplies a one-row table by another kernel than a taller one,
+    with other last bits, so no block but a whole one-row table has one row:
+    a lone trailing row joins the block before it, and a block has at least
+    two rows.
+    """
+    rows = max(2, _BLOCK_ENTRIES // width)
+    edges = [*range(0, count, rows), count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def eval_f(sig: TrigSignal, t):
+    """Evaluate the sum at a scalar or array of times, in _row_blocks of phases.
+
+    A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.  A
+    one-row call (a scalar, a lone Newton iterate) multiplies its phase row
+    repeated twice and keeps the first result, so a point's bits do not
+    depend on its call (see _row_blocks).
     """
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     vals = np.empty((flat.size,) + sig.amps.shape[1:], dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // sig.count)
-    for start in range(0, flat.size, rows):
-        block = flat[start:start + rows]
-        padded = np.repeat(block, 2) if block.size == 1 else block
-        vals[start:start + block.size] = (_phases(padded, sig.freqs) @ sig.amps)[:block.size]
+    for rows in _row_blocks(flat.size, sig.count):
+        table = _phases(flat[rows], sig.freqs)
+        if len(table) == 1:
+            table = np.repeat(table, 2, axis=0)
+        vals[rows] = (table @ sig.amps)[: rows.stop - rows.start]
+        del table  # the next block's phases are built without this one
     out = vals.reshape(t_arr.shape + sig.amps.shape[1:])
     return complex(out) if out.ndim == 0 else out
 
@@ -186,14 +223,13 @@ def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> 
 
     e^{-i omega (s + o)} = e^{-i omega s} e^{-i omega o}, so the table is
     (amps * e^{-i omega s}) (rows, N) @ e^{-i omega o} (N, offsets): (rows +
-    offsets) N exponentials and one product, in row blocks of _BLOCK_ENTRIES
-    phase entries.  Its error is bounded by _scan_rounding.
+    offsets) N exponentials and one product per _row_blocks block of start
+    phases, 4 MiB at most.  Its error is bounded by _scan_rounding.
     """
     inner = _phases(sig.freqs, offsets)
     table = np.empty((starts.size, offsets.size), dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // sig.count)
-    for start in range(0, starts.size, rows):
-        table[start:start + rows] = _phases(starts[start:start + rows], sig.freqs, sig.amps) @ inner
+    for rows in _row_blocks(starts.size, sig.count):
+        table[rows] = _phases(starts[rows], sig.freqs, sig.amps) @ inner
     return table
 
 

@@ -66,6 +66,16 @@ class TestDensity:
         with pytest.raises(DimensionError):
             CanonicalDensity(two_level, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("t", [3e307, -3e307, math.nan], ids=["3e307", "-3e307", "nan"])
+    def test_non_finite_phase_rejected(self, t):
+        # At harmonic N = 8, omega reaches 7.5 and 3e307 * 7.5 overflows.
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        density = CanonicalDensity.from_state(spec, random_state(8, 1))
+        with pytest.raises(PhysicsError, match="finite"):
+            density_at(density, t)
+        with pytest.raises(PhysicsError, match="finite"):
+            verify_covariance(spec, random_state(8, 1), 1.0, np.array([0.0, t]))
+
     def test_normalized_gamma_is_squared_norm(self):
         assert normalized_gamma([0.6, 0.8j]) == pytest.approx(1.0)
         assert normalized_gamma([1.0, 1.0]) == pytest.approx(2.0)

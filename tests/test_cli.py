@@ -278,6 +278,8 @@ class TestFailurePaths:
             ("zeroset", "1e308", EXIT_PHYSICS),
             ("claims", "1e308", EXIT_PHYSICS),
             ("canonical", "1e308", EXIT_PHYSICS),
+            ("claims", "3e307", EXIT_PHYSICS),
+            ("canonical", "3e307", EXIT_PHYSICS),
         ],
         ids=[
             "zeroset-inf",
@@ -287,13 +289,17 @@ class TestFailurePaths:
             "zeroset-1e308",
             "claims-1e308",
             "canonical-1e308",
+            "claims-3e307",
+            "canonical-3e307",
         ],
     )
     def test_non_finite_or_overflowing_window_exits_without_artifacts(
         self, tmp_path, capsys, command, tau_max, code
     ):
         # At 1e308 the scan's cell count 20 * window * max|omega| / (2 pi)
-        # overflows, and so do the phase angles of evolving by tau_max / 2.
+        # overflows, and so do the phase angles of evolving by tau_max / 2.  At
+        # 3e307 evolving stays finite, but the density's phases t * omega reach
+        # 3e307 * 7.5, which overflows.
         out = tmp_path / "o"
         assert main([command, "-o", str(out), "--tau-max", tau_max]) == code
         err = capsys.readouterr().err

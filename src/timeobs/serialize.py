@@ -6,9 +6,11 @@ artifacts re-read into equal in-memory values.
 
 `write_json` is the one JSON writer.  Its output is byte-identical to
 `json.dump(obj, fh, indent=2, sort_keys=True)` plus a newline, and it also
-takes float64 arrays, which it streams row by row.  One sort of an array's
-bit patterns gives its distinct doubles, each formatted once, and a binary
-search per innermost row maps that row's entries to their texts.
+takes float64 arrays, which it streams a block of about `_BLOCK_ENTRIES`
+entries at a time.  One sort of an array's bit patterns gives its distinct
+doubles, each formatted once, and one binary search per block maps that
+block's entries to their texts.  A block with few runs of equal bit patterns
+writes each run as one repeated string.
 """
 
 from __future__ import annotations
@@ -141,6 +143,10 @@ def matrix_from_dict(doc: dict) -> OperatorMatrix:
         for row in rows:
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"matrix.{name}: expected square {n} x {n} data")
+            # json gives float and int entries; anything else (a bool, a
+            # string, null) is checked one by one, as `_as_number` does.
+            if not {float, int}.issuperset(map(type, row)):
+                _as_number_list(row, f"matrix.{name}")
     return OperatorMatrix(_complex_array(re, im))
 
 
@@ -175,13 +181,13 @@ def write_json(path, obj) -> None:
 
     The bytes equal `json.dump(obj, fh, indent=2, sort_keys=True)` followed by
     a newline, where a float64 array is written as its `tolist()`.  Such
-    arrays are streamed one row at a time.  Their bit patterns are sorted
-    once; the patterns that differ from their sorted neighbour are the
-    distinct doubles, each formatted once, and the sorted copy is dropped.
-    `np.searchsorted` then finds the texts of one innermost row at a time,
+    arrays are streamed in blocks (see `_array_chunks`).  Their bit patterns
+    are sorted once; the patterns that differ from their sorted neighbour
+    are the distinct doubles, each formatted once, and the sorted copy is
+    dropped.  `np.searchsorted` then finds the texts of one block at a time,
     so beside the array at most the sorted copy and its mask are held, and
-    then only the distinct patterns, their texts and one row's index.
-    Other arrays raise `TypeError`, as json does.
+    then only the distinct patterns, their texts and one block's index and
+    text.  Other arrays raise `TypeError`, as json does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -225,11 +231,18 @@ def _json_chunks(obj, indent: str):
         yield json.dumps(obj)
 
 
-def _array_chunks(texts: np.ndarray, distinct: np.ndarray, bits: np.ndarray, indent: str):
-    """Nested lists of the texts of `bits`, one chunk per innermost row.
+_BLOCK_ENTRIES = 2**14
 
-    `texts[i]` is the text of `distinct[i]`; each innermost row is looked up
-    by its own `np.searchsorted`, so no index of the whole array is built.
+
+def _array_chunks(texts: np.ndarray, distinct: np.ndarray, bits: np.ndarray, indent: str):
+    """Nested lists of the texts of `bits`, one chunk per block of entries.
+
+    `texts[i]` is the text of `distinct[i]`.  A vector or matrix is written
+    in blocks of about `_BLOCK_ENTRIES` entries: whole rows, or pieces of one
+    row when a row is longer.  Each block gets one `np.searchsorted`, so no
+    index of the whole array is built, and `_block_text` picks the block's
+    emitter from its own run count.  Higher dimensions recurse down to their
+    matrices.
     """
     if bits.ndim == 0:
         yield texts[np.searchsorted(distinct, bits)]
@@ -239,15 +252,67 @@ def _array_chunks(texts: np.ndarray, distinct: np.ndarray, bits: np.ndarray, ind
         return
     inner = indent + "  "
     if bits.ndim == 1:
-        row = texts[np.searchsorted(distinct, bits)].tolist()
-        yield "[\n" + inner + (",\n" + inner).join(row)
+        closing = "\n" + indent + "]"
+        yield "[\n" + inner
+        yield from _block_chunks(texts, distinct, bits[np.newaxis], ",\n" + inner, "", closing)
+    elif bits.ndim == 2 and bits.shape[1]:
+        cell = inner + "  "
+        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
+        closing = "\n" + inner + "]\n" + indent + "]"
+        yield "[\n" + inner + "[\n" + cell
+        yield from _block_chunks(texts, distinct, bits, ",\n" + cell, row_sep, closing)
     else:
         sep = "[\n" + inner
         for sub in bits:
             yield sep
             yield from _array_chunks(texts, distinct, sub, inner)
             sep = ",\n" + inner
-    yield "\n" + indent + "]"
+        yield "\n" + indent + "]"
+
+
+def _block_chunks(texts, distinct, bits, sep: str, row_sep: str, closing: str):
+    """The entries of matrix `bits`, each followed by its separator.
+
+    `sep` follows an entry inside a row, `row_sep` the end of a row and
+    `closing` the last entry.
+    """
+    rows, cols = bits.shape
+    width = min(cols, _BLOCK_ENTRIES)
+    height = max(1, _BLOCK_ENTRIES // cols)
+    for r0 in range(0, rows, height):
+        r1 = min(r0 + height, rows)
+        for c0 in range(0, cols, width):
+            c1 = c0 + width
+            last = sep if c1 < cols else row_sep if r1 < rows else closing
+            index = np.searchsorted(distinct, bits[r0:r1, c0:c1])
+            yield _block_text(texts, index, sep, row_sep, last)
+
+
+def _block_text(texts, index: np.ndarray, sep: str, row_sep: str, last: str) -> str:
+    """Text of one block of rows of indices into `texts`, ending with `last`.
+
+    A run is a stretch of equal indices inside one row.  When the block has
+    at most a quarter as many runs as entries, each run is written as its
+    text and separator repeated; otherwise each row is joined entry by entry.
+    """
+    flat = index.ravel()
+    new_run = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[:: index.shape[1]] = True
+    if 4 * np.count_nonzero(new_run) > flat.size:
+        return row_sep.join([sep.join(row) for row in texts[index].tolist()]) + last
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], flat.size)
+    tails = np.where(ends % index.shape[1] == 0, row_sep, sep).tolist()
+    tails[-1] = last
+    return "".join(
+        [
+            (text + sep) * (count - 1) + text + tail
+            for text, count, tail in zip(
+                texts[flat[starts]].tolist(), (ends - starts).tolist(), tails
+            )
+        ]
+    )
 
 
 _JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -225,6 +225,81 @@ class TestWriteJsonByteIdentity:
         serialize.write_json(path, {"a": values})
         assert path.read_text(encoding="utf-8") == _reference_json({"a": values.tolist()})
 
+    @pytest.mark.parametrize("block", [1, 3, 4, 8, 64])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "rows span blocks",
+            "run crosses block edge",
+            "run and non-run blocks",
+            "one column",
+            "all equal",
+            "signed zeros and NaN payloads",
+            "3-d",
+            "long vector",
+        ],
+    )
+    def test_blocks_match_tolist(self, tmp_path, monkeypatch, block, name):
+        # Small blocks put every kind of block edge inside a few rows.
+        monkeypatch.setattr(serialize, "_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(17)
+        if name == "rows span blocks":
+            values = rng.standard_normal((3, 21))
+        elif name == "run crosses block edge":
+            values = rng.standard_normal((4, 20))
+            values[1, 2:19] = 0.25
+            values[2:, :] = -0.0
+        elif name == "run and non-run blocks":
+            values = rng.standard_normal((12, 6))
+            values[::3] = 1.5
+            values[4:6, :4] = math.inf
+        elif name == "one column":
+            values = np.repeat([[0.5], [-0.0], [0.0]], 7, axis=0)
+            values[10:13, 0] = rng.standard_normal(3)
+        elif name == "all equal":
+            values = np.full((9, 7), -2.5e-10)
+        elif name == "signed zeros and NaN payloads":
+            nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000])
+            values = np.zeros((6, 10))
+            values[::2, 3:] = -0.0
+            values[1] = nans.astype(np.uint64).view(np.float64)[np.arange(10) % 3]
+            values[3, :5] = nans.astype(np.uint64).view(np.float64)[1]
+            values[5, 4:] = nans.astype(np.uint64).view(np.float64)[2]
+        elif name == "3-d":
+            values = np.repeat(rng.standard_normal((3, 4, 1)), 5, axis=2)
+            values[1, 2] = rng.standard_normal(5)
+        else:
+            values = np.repeat(rng.standard_normal(5), 9)
+            values[20:30] = rng.standard_normal(10)
+        for view in (values, values.T, values[..., ::-2]):
+            path = tmp_path / "array.json"
+            serialize.write_json(path, {"a": view})
+            assert path.read_text(encoding="utf-8") == _reference_json({"a": view.tolist()})
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # one file, rewritten
+    )
+    @given(
+        pool=st.lists(st.sampled_from(_SPECIAL_DOUBLES + (0.5, -3.0)), min_size=1, max_size=4),
+        shape=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        run=st.integers(1, 12),
+        block=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_runs_at_any_block_size_match_tolist(
+        self, tmp_path, monkeypatch, pool, shape, run, block, seed
+    ):
+        # Entries repeat in runs of up to `run`, so blocks take either emitter.
+        monkeypatch.setattr(serialize, "_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(seed)
+        picks = np.repeat(rng.integers(0, len(pool), shape[0] * shape[1]), run)
+        values = np.array(pool)[picks[: shape[0] * shape[1]]].reshape(shape)
+        path = tmp_path / "array.json"
+        serialize.write_json(path, {"a": values})
+        assert path.read_text(encoding="utf-8") == _reference_json({"a": values.tolist()})
+
     @pytest.mark.parametrize("bad", [np.arange(3), {(1, 2): 0.5}, {"x": object()}])
     def test_unserializable_raises_type_error(self, tmp_path, bad):
         with pytest.raises(TypeError):
@@ -292,6 +367,40 @@ class TestMatrixDocuments:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * top.entries.nbytes
+
+    def test_dump_of_run_rows_builds_no_whole_matrix_text(self, tmp_path):
+        # Every row is one run, so every block takes the run emitter; its
+        # text is one block's, not the whole matrix's (about 4x T).
+        n = 512
+        row = np.arange(n) - 255.5
+        entries = np.empty((n, n), dtype=complex)
+        entries.real = row[:, np.newaxis]
+        entries.imag = -1.0 / row[:, np.newaxis]
+        top = OperatorMatrix(entries)
+        tracemalloc.start()
+        try:
+            serialize.dump_matrix(tmp_path / "matrix.json", top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * top.entries.nbytes
+        doc = {"n": n, "re": entries.real.tolist(), "im": entries.imag.tolist()}
+        same = (tmp_path / "matrix.json").read_text(encoding="utf-8") == _reference_json(doc)
+        assert same, "dump differs from json.dump"  # a bool: pytest would diff 10 MB texts
+
+    @pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], {"x": 1.0}])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_entries_must_be_numbers(self, part, bad):
+        # A bool among floats still makes a float64 array, so each entry is checked.
+        doc = {"n": 2, "re": [[0.0, 1.0], [2.0, 3.0]], "im": [[0.0, -1.0], [0.5, 0.0]]}
+        doc[part][1][0] = bad
+        with pytest.raises(SchemaError, match=f"matrix.{part}"):
+            serialize.matrix_from_dict(doc)
+
+    def test_integer_entries_load_as_floats(self):
+        doc = {"n": 2, "re": [[0, 1], [2, 3.5]], "im": [[0, -1], [1, 0]]}
+        op = serialize.matrix_from_dict(doc)
+        np.testing.assert_array_equal(op.entries, [[0, 1 - 1j], [2 + 1j, 3.5]])
 
     def test_load_hands_its_buffer_to_the_operator(self, monkeypatch):
         made = []

@@ -4,13 +4,14 @@ JSON floats go through Python repr (shortest exact round-trip form); CSV cells
 use 17 significant digits.  Both reparse to the identical double, so emitted
 artifacts re-read into equal in-memory values.
 
-`write_json` is the one JSON writer.  Its output is byte-identical to
-`json.dump(obj, fh, indent=2, sort_keys=True)` plus a newline, and it also
-takes float64 arrays, which it streams a block of about `_BLOCK_ENTRIES`
-entries at a time.  One sort of an array's bit patterns gives its distinct
-doubles, each formatted once, and one binary search per block maps that
-block's entries to their texts.  A block with few runs of equal bit patterns
-writes each run as one repeated string.
+`write_json` is the one JSON writer.  A document of plain Python values goes
+through `json.dumps(obj, indent=2, sort_keys=True)` plus a newline.  An
+`OperatorMatrix` gives the same bytes as json would for its {"im", "n",
+"re"} document of nested lists, but its two parts are streamed a block of
+about `_BLOCK_ENTRIES` entries at a time.  One sort of a part's bit patterns
+gives its distinct doubles, each formatted once, and one binary search per
+block maps that block's entries to their texts.  A block with few runs of
+equal bit patterns writes each run as one repeated string.
 """
 
 from __future__ import annotations
@@ -172,120 +173,61 @@ def load_matrix(path) -> OperatorMatrix:
 
 def dump_matrix(path, op: OperatorMatrix) -> None:
     """{"n", "re", "im"} document; reloads through `load_matrix` exactly."""
-    entries = op.entries
-    write_json(path, {"n": op.basis_size, "re": entries.real, "im": entries.imag})
+    write_json(path, op)
 
 
 def write_json(path, obj) -> None:
     """Write `obj` as indented JSON with sorted keys and a final newline.
 
-    The bytes equal `json.dump(obj, fh, indent=2, sort_keys=True)` followed by
-    a newline, where a float64 array is written as its `tolist()`.  Such
-    arrays are streamed in blocks (see `_array_chunks`).  Their bit patterns
-    are sorted once; the patterns that differ from their sorted neighbour
-    are the distinct doubles, each formatted once, and the sorted copy is
-    dropped.  `np.searchsorted` then finds the texts of one block at a time,
-    so beside the array at most the sorted copy and its mask are held, and
-    then only the distinct patterns, their texts and one block's index and
-    text.  Other arrays raise `TypeError`, as json does.
+    The bytes are `json.dumps(obj, indent=2, sort_keys=True)` followed by a
+    newline, so what json cannot encode, such as a float64 array, raises
+    `TypeError` before the file is opened.  An `OperatorMatrix` gives the
+    bytes of its {"im", "n", "re"} document of nested lists, each part
+    streamed by `_matrix_chunks`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if not isinstance(obj, OperatorMatrix):
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(obj, ""))
-        fh.write("\n")
-
-
-def _json_chunks(obj, indent: str):
-    """Yield the text of `obj` at nesting `indent`, as json's indent=2 encoder."""
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        # Bit patterns keep -0.0 apart from 0.0 and make NaN comparable.
-        bits = obj.view(np.int64)
-        ordered = np.sort(bits, axis=None)
-        first = np.ones(ordered.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = ordered[first]
-        del ordered, first
-        texts = np.array(
-            [_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object
-        )
-        yield from _array_chunks(texts, distinct, bits, indent)
-    elif isinstance(obj, (list, tuple, dict)):
-        if isinstance(obj, dict):
-            opening, closing = "{}"
-            items = ((_key_text(key) + ": ", value) for key, value in sorted(obj.items()))
-        else:
-            opening, closing = "[]"
-            items = (("", value) for value in obj)
-        if not obj:
-            yield opening + closing
-            return
-        inner = indent + "  "
-        sep = opening + "\n" + inner
-        for prefix, value in items:
-            yield sep + prefix
-            yield from _json_chunks(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + closing
-    else:
-        yield json.dumps(obj)
+        fh.write('{\n  "im": ')
+        fh.writelines(_matrix_chunks(obj.entries.imag))
+        fh.write(f',\n  "n": {obj.basis_size},\n  "re": ')
+        fh.writelines(_matrix_chunks(obj.entries.real))
+        fh.write("\n}\n")
 
 
 _BLOCK_ENTRIES = 2**14
 
 
-def _array_chunks(texts: np.ndarray, distinct: np.ndarray, bits: np.ndarray, indent: str):
-    """Nested lists of the texts of `bits`, one chunk per block of entries.
+def _matrix_chunks(values: np.ndarray):
+    """Text of square float64 matrix `values` as a value at depth 1, in blocks.
 
-    `texts[i]` is the text of `distinct[i]`.  A vector or matrix is written
-    in blocks of about `_BLOCK_ENTRIES` entries: whole rows, or pieces of one
-    row when a row is longer.  Each block gets one `np.searchsorted`, so no
-    index of the whole array is built, and `_block_text` picks the block's
-    emitter from its own run count.  Higher dimensions recurse down to their
-    matrices.
+    The bit patterns keep -0.0 apart from 0.0 and make NaN comparable.  They
+    are sorted once; the patterns that differ from their sorted neighbour are
+    the distinct doubles, each formatted once, and the sorted copy is
+    dropped.  The rows are then written in blocks of about `_BLOCK_ENTRIES`
+    entries, one row at least: one `np.searchsorted` per block finds its
+    texts, so beside the matrix at most the sorted copy and its mask are
+    held, and then only the distinct patterns, their texts and one block's
+    index and text.
     """
-    if bits.ndim == 0:
-        yield texts[np.searchsorted(distinct, bits)]
-        return
-    if bits.shape[0] == 0:
-        yield "[]"
-        return
-    inner = indent + "  "
-    if bits.ndim == 1:
-        closing = "\n" + indent + "]"
-        yield "[\n" + inner
-        yield from _block_chunks(texts, distinct, bits[np.newaxis], ",\n" + inner, "", closing)
-    elif bits.ndim == 2 and bits.shape[1]:
-        cell = inner + "  "
-        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
-        closing = "\n" + inner + "]\n" + indent + "]"
-        yield "[\n" + inner + "[\n" + cell
-        yield from _block_chunks(texts, distinct, bits, ",\n" + cell, row_sep, closing)
-    else:
-        sep = "[\n" + inner
-        for sub in bits:
-            yield sep
-            yield from _array_chunks(texts, distinct, sub, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "]"
-
-
-def _block_chunks(texts, distinct, bits, sep: str, row_sep: str, closing: str):
-    """The entries of matrix `bits`, each followed by its separator.
-
-    `sep` follows an entry inside a row, `row_sep` the end of a row and
-    `closing` the last entry.
-    """
-    rows, cols = bits.shape
-    width = min(cols, _BLOCK_ENTRIES)
-    height = max(1, _BLOCK_ENTRIES // cols)
-    for r0 in range(0, rows, height):
-        r1 = min(r0 + height, rows)
-        for c0 in range(0, cols, width):
-            c1 = c0 + width
-            last = sep if c1 < cols else row_sep if r1 < rows else closing
-            index = np.searchsorted(distinct, bits[r0:r1, c0:c1])
-            yield _block_text(texts, index, sep, row_sep, last)
+    bits = values.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    del ordered, first
+    texts = np.array([_float_text(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    n = bits.shape[0]
+    sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
+    height = max(1, _BLOCK_ENTRIES // n)
+    yield "[\n    [\n      "
+    for r0 in range(0, n, height):
+        last = row_sep if r0 + height < n else "\n    ]\n  ]"
+        index = np.searchsorted(distinct, bits[r0 : r0 + height])
+        yield _block_text(texts, index, sep, row_sep, last)
 
 
 def _block_text(texts, index: np.ndarray, sep: str, row_sep: str, last: str) -> str:
@@ -321,22 +263,6 @@ _JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _float_text(value: float) -> str:
     text = float.__repr__(value)
     return _JSON_SPECIAL_FLOATS.get(text, text)
-
-
-def _key_text(key) -> str:
-    """json's object-key text: str keys quoted, int/float/bool/None coerced."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = json.dumps(key)
-    return json.dumps(key)
-
-
-def dump_series(path, series) -> None:
-    """DeviationSeries (or any taus/values pair) as CSV with columns tau, value."""
-    write_csv(path, ("tau", "value"), zip(series.taus, series.values))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

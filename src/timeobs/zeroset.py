@@ -380,8 +380,10 @@ def sublevel_measures(
     above eps is promoted to extremum refinement (Newton on d|f|^2/dt) when a
     chord next to it comes within the screen of eps, and a grid maximum below
     eps when it lies within the screen of eps (|chord| is convex, so its cell
-    maxima sit at nodes); one _extrema call refines the union of these
-    brackets over all thresholds, each keyed by its centre node and sign.  The
+    maxima sit at nodes).  The window ends count as one-sided extrema, and
+    their brackets cover the one cell beside them.  One _extrema call refines
+    the union of these brackets over all thresholds, each keyed by its centre
+    node and sign.  The
     measure sums the intervals between sorted crossings whose crossing bracket
     starts inside the set.  The error bound is the cell width times the count
     of cells that passed the chord screen but produced no refined feature.  A
@@ -410,42 +412,48 @@ def sublevel_measures(
     n = ts.size - 1
     h = float(window) / n
     absf = np.abs(fs)
+    # Padding with +inf for dips and -inf for rises lets the window ends
+    # count as one-sided extrema.
+    dip_pad, rise_pad = (np.pad(absf, 1, constant_values=end) for end in (np.inf, -np.inf))
     floor = _chord_distance(fs) - screen
     peak = np.maximum(absf[:-1], absf[1:])
     levels, keys = [], []
     for eps in [epsilons[k] for k in todo]:
-        gvals = absf - eps
+        gpad = dip_pad - eps
+        gvals = gpad[1:-1]
         # Cells on which |f| may pass below eps, or reach it.
         may_dip, may_rise = floor < eps, eps - peak < screen
-        dips, rises = _local_minima(gvals, 0.0), _local_minima(-gvals, 0.0)
-        dips = dips[may_dip[dips - 1] | may_dip[dips]]
-        rises = rises[may_rise[rises - 1] | may_rise[rises]]
+        dips, rises = _local_minima(gpad, 0.0) - 1, _local_minima(eps - rise_pad, 0.0) - 1
+        dips = dips[may_dip[np.maximum(dips - 1, 0)] | may_dip[np.minimum(dips, n - 1)]]
+        rises = rises[may_rise[np.maximum(rises - 1, 0)] | may_rise[np.minimum(rises, n - 1)]]
         levels.append((eps, gvals < 0.0, may_dip, may_rise))
         keys.append(np.concatenate([2 * dips, 2 * rises + 1]))
     # Key 2i is a dip (sign +1) centred on node i, 2i + 1 a rise (sign -1).
     union, member = np.unique(np.concatenate(keys), return_inverse=True)
     centre, sign = union // 2, 1.0 - 2.0 * (union % 2)
-    best_t, best_v, ext_open = _extrema(sig, ts[centre - 1], ts[centre + 1], sign)
+    # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
+    lo, hi = np.maximum(centre - 1, 0), np.minimum(centre + 1, n)
+    best_t, best_v, ext_open = _extrema(sig, ts[lo], ts[hi], sign)
     uses = np.split(member, np.cumsum([key.size for key in keys])[:-1])
 
     for k, (eps, below, may_dip, may_rise), used in zip(todo, levels, uses):
         # |f| - eps at each minimizer; a bracket hits eps where sign * that is negative.
         g_ext = sign[used] * best_v[used] - eps
         hit = sign[used] * g_ext < 0.0
-        ext, t_ext, g_ext = centre[used][hit], best_t[used][hit], g_ext[hit]
+        ext_lo, ext_hi, t_ext, g_ext = lo[used][hit], hi[used][hit], best_t[used][hit], g_ext[hit]
         cross = np.nonzero(below[:-1] != below[1:])[0]
 
         # The right half of a split extremum starts at t_ext: inside for a dip.
-        inside_lo = np.concatenate([below[cross], below[ext - 1], g_ext < 0.0])
+        inside_lo = np.concatenate([below[cross], below[ext_lo], g_ext < 0.0])
         crossings, depth, cross_open = _crossings(
             sig,
-            np.concatenate([ts[cross], ts[ext - 1], t_ext]),
-            np.concatenate([ts[cross + 1], t_ext, ts[ext + 1]]),
+            np.concatenate([ts[cross], ts[ext_lo], t_ext]),
+            np.concatenate([ts[cross + 1], t_ext, ts[ext_hi]]),
             inside_lo,
             eps,
         )
         refined = np.zeros(n, dtype=bool)
-        refined[cross] = refined[ext - 1] = refined[ext] = True
+        refined[cross] = refined[ext_lo] = refined[ext_hi - 1] = True
 
         # The brackets are disjoint, so the interval before each sorted crossing
         # lies on its bracket's left side, and the last one on the window end's.

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import tracemalloc
@@ -393,6 +394,25 @@ class TestSublevelMeasure:
         # {cos t < eps^2 - 1} on [0, 7] leaves out [0, a), (2 pi - a, 2 pi + a).
         a = math.acos(eps * eps - 1.0)
         assert report.measure == pytest.approx(7.0 - 3.0 * a, abs=1e-9)
+
+    @pytest.mark.parametrize("t0", [0.004, 9.996], ids=["start", "end"])
+    @pytest.mark.parametrize("kind", ["dip", "rise"])
+    def test_extremum_in_an_end_cell_is_found(self, kind, t0):
+        # |f| is 2|sin((t - t0)/2)| for the dip and 2|cos((t - t0)/2)| for the
+        # rise.  On 1000 cells of [0, 10] the extremum at t0 lies in the first
+        # or last cell, whose window end is the grid's one-sided extremum: only
+        # its refinement finds the interval around t0 where |f| crosses eps.
+        phase = cmath.exp(1j * t0)
+        if kind == "dip":
+            sig, eps = TrigSignal(np.array([0.0, 1.0]), np.array([1.0, -phase])), 3e-3
+            # |f| < eps within 2 asin(eps / 2) of t0 and of its copy 2 pi away.
+            expected = 8.0 * math.asin(eps / 2.0)
+        else:
+            sig, eps = TrigSignal(np.array([0.0, 1.0]), np.array([1.0, phase])), 2.0 - 2e-6
+            # |f| >= eps within 2 acos(eps / 2) of t0 and of its copy 2 pi away.
+            expected = 10.0 - 8.0 * math.acos(eps / 2.0)
+        report = _converged(sublevel_measure(sig, eps, 10.0, base_grid=1000))
+        assert report.measure == pytest.approx(expected, abs=1e-9)
 
     def test_brute_force_grid_oracle(self, balanced_signal):
         # independent oracle: fraction of 1e7 midpoint samples below threshold

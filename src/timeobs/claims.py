@@ -54,7 +54,7 @@ def run_claims(
     summary = {
         "claim_i": _claim_i(spectrum, state, grid, tau_max),
         "claim_ii": _claim_ii(spectrum, zero_sum_state, grid, tau_max),
-        "claim_iii": _claim_iii(spectrum, zero_sum_state, grid, tau_max, epsilons),
+        "claim_iii": claim_iii(spectrum, zero_sum_state, grid, tau_max, epsilons)[0],
     }
     summary["all_demonstrated"] = all(
         summary[key]["demonstrated"] for key in ("claim_i", "claim_ii", "claim_iii")
@@ -98,43 +98,39 @@ def _claim_ii(spectrum, state, grid, tau_max) -> dict:
     }
 
 
-def _claim_iii(spectrum, state, grid, tau_max, epsilons) -> dict:
+def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
+    """Claim (iii) on the signal of `state` over [0, tau_max].
+
+    The eps ladder runs on max(1000, grid) cells, over the distinct epsilons
+    in descending order and then the tail threshold 1e-6 sum|c_j|.  The mean
+    |log|f|| is taken at grid // 4 (at least 100) panels and at twice that;
+    it is stable when the relative change between the two is within
+    PW_STABILITY_TOL and both integrals converged.  Returns the claim record
+    and the MeasureReport of each of the distinct epsilons.
+    """
     sig = TrigSignal.from_state(spectrum, state)
     window = float(tau_max)
-    base_grid = max(1000, int(grid))
     eps_sorted = sorted({float(e) for e in epsilons}, reverse=True)
     tail_eps = 1e-6 * sig.weight()
-    reports = sublevel_measures(sig, [*eps_sorted, tail_eps], window, base_grid=base_grid)
-    fractions = [report.measure / window for report in reports]
-    tail_fraction = fractions.pop()
-    refined = all(report.converged for report in reports)
+    *reports, tail = sublevel_measures(sig, [*eps_sorted, tail_eps], window, max(1000, int(grid)))
+    tail_fraction = tail.measure / window
+    refined = tail.converged and all(report.converged for report in reports)
 
-    fine, panels, rel_change, converged = paley_wiener_convergence(sig, window, grid)
-    return {
-        "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and refined and converged),
-        "window": window,
-        "epsilons": eps_sorted,
-        "measure_fractions": fractions,
-        "tail_epsilon": tail_eps,
-        "tail_fraction": tail_fraction,
-        "paley_wiener_value": fine,
-        "paley_wiener_panels": panels,
-        "paley_wiener_relative_change": rel_change,
-        "paley_wiener_converged": converged,
-    }
-
-
-def paley_wiener_convergence(sig: TrigSignal, window: float, grid: int):
-    """Mean |log|f|| at grid // 4 (at least 100) panels and at twice that.
-
-    Returns the fine value, the fine panel count, the relative change between
-    the two, and whether that change is within PW_STABILITY_TOL with both
-    integrals converged.
-    """
     panels = max(100, int(grid) // 4)
     coarse = paley_wiener_integral(sig, window, panels)
     fine = paley_wiener_integral(sig, window, 2 * panels)
     rel_change = abs(fine.value - coarse.value) / max(abs(fine.value), 1e-300)
     converged = rel_change <= PW_STABILITY_TOL and coarse.converged and fine.converged
-    return fine.value, 2 * panels, rel_change, bool(converged)
-
+    record = {
+        "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and refined and converged),
+        "window": window,
+        "epsilons": eps_sorted,
+        "measure_fractions": [report.measure / window for report in reports],
+        "tail_epsilon": tail_eps,
+        "tail_fraction": tail_fraction,
+        "paley_wiener_value": fine.value,
+        "paley_wiener_panels": 2 * panels,
+        "paley_wiener_relative_change": rel_change,
+        "paley_wiener_converged": converged,
+    }
+    return record, reports

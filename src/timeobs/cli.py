@@ -2,10 +2,11 @@
 
 Commands: tg (time-operator matrix + commutator diagnostics), canonical
 (density samples + covariance record), cauchy (convergence ladder), zeroset
-(sublevel-measure scaling + mean-log record), claims (full demonstration
-suite).  Exit codes: 0 success, 2 unreadable/malformed input or an invalid
-option (such as a cauchy ladder with no rung), 3 physics precondition
-violation (including a non-finite level, hbar or state coefficient).
+(claim (iii) without its verdict: sublevel-measure scaling + mean-log
+record), claims (full demonstration suite).  Exit codes: 0 success, 2
+unreadable/malformed input or an invalid option (such as a cauchy ladder with
+no rung), 3 physics precondition violation (including a non-finite level,
+hbar or state coefficient).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .operators import (
 )
 from .rng import random_state
 from .spectral import EnergySpectrum, QuantumState, build_spectrum
-from .zeroset import TrigSignal, sublevel_measures
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -242,19 +242,18 @@ def _cmd_cauchy(config: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
+    """Claim (iii)'s eps ladder and Paley-Wiener record, without its verdict."""
     spectrum, state = _load_problem(config, need_state=True, in_zero_sum=True)
-    sig = TrigSignal.from_state(spectrum, state)
-    window = config.tau_max
-    base_grid = max(1000, config.grid)
-    epsilons = sorted(set(config.epsilons), reverse=True)
-    reports = sublevel_measures(sig, epsilons, window, base_grid=base_grid)
+    claim, reports = claims_mod.claim_iii(
+        spectrum, state, config.grid, config.tau_max, config.epsilons
+    )
     serialize.write_csv(
         out_dir / "measure_scaling.csv",
         ("epsilon", "measure", "error_bound", "converged"),
         [(r.epsilon, r.measure, r.error_bound, r.converged) for r in reports],
     )
-    fine, panels, _, converged = claims_mod.paley_wiener_convergence(sig, window, config.grid)
-    record = {"window": window, "panels": panels, "value": fine, "converged": converged}
+    record = {key: claim[f"paley_wiener_{key}"] for key in ("panels", "value", "converged")}
+    record["window"] = claim["window"]
     serialize.write_json(out_dir / "paley_wiener.json", record)
     print(f"wrote {out_dir / 'measure_scaling.csv'} and {out_dir / 'paley_wiener.json'}")
 

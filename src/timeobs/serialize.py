@@ -79,6 +79,8 @@ def spectrum_from_dict(doc: dict) -> EnergySpectrum:
     hbar = _as_number(doc.get("hbar", 1.0), "spectrum.hbar")
     if kind == "custom":
         levels = _as_number_list(_require(doc, "levels", "spectrum"), "spectrum.levels")
+        if _as_int(doc.get("n", len(levels)), "spectrum.n") != len(levels):
+            raise SchemaError("spectrum.n: must equal the number of levels")
         label = doc.get("label", "custom")
         if not isinstance(label, str):
             raise SchemaError("spectrum.label: expected a string")

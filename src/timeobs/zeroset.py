@@ -8,10 +8,12 @@ which is what forces the zero set to have measure zero), and constructs
 commensurate (periodic) approximants with a guaranteed sup-norm bound.
 
 Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
-The scan evaluates f on a uniform grid as one product of two phase tables; a
-grid extremum is refined only when the chord-curvature screen (the distance
-from 0 to a chord, less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets
-|f| reach the threshold in its cells.  Crossings and extrema are refined by
+The scan evaluates f on a uniform grid as one product of two phase tables.
+One rule (_extremum_centres) turns grid extrema, the window ends counted as
+one-sided, into brackets for zeros, dips and rises alike: it keeps those next
+to a cell where the chord-curvature screen (the distance from 0 to a chord,
+less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets |f| reach the
+threshold.  Crossings and extrema are refined by
 safeguarded Newton inside their brackets, with f, f' and f'' from one phase
 block per point, and a sublevel measure is summed from the sides on which
 its crossing brackets start.  A ladder of thresholds (sublevel_measures)
@@ -263,11 +265,16 @@ def _chord_distance(f: np.ndarray) -> np.ndarray:
     return np.abs(a + np.clip(s, 0.0, 1.0) * d)
 
 
-def _local_minima(v: np.ndarray, floor: float) -> np.ndarray:
-    """Interior indices i with v[i] <= both neighbours and v[i] > floor."""
-    mid = v[1:-1]
-    keep = (mid <= v[:-2]) & (mid <= v[2:]) & (mid > floor)
-    return np.nonzero(keep)[0] + 1
+def _extremum_centres(v: np.ndarray, keep, cell_ok: np.ndarray) -> np.ndarray:
+    """Grid minima i of v with keep[i] and cell_ok on cell i - 1 or cell i.
+
+    This is the one rule that turns grid extrema into refinement brackets
+    [t_{i-1}, t_{i+1}]: cell k joins nodes k and k + 1, and the window ends
+    count as one-sided minima whose bracket covers the one cell beside them.
+    """
+    pad = np.pad(v, 1, constant_values=np.inf)
+    cell = np.pad(cell_ok, 1)
+    return np.flatnonzero((v <= pad[:-2]) & (v <= pad[2:]) & keep & (cell[:-1] | cell[1:]))
 
 
 def _open(lo, hi) -> np.ndarray:
@@ -380,17 +387,18 @@ def sublevel_measures(
     above eps is promoted to extremum refinement (Newton on d|f|^2/dt) when a
     chord next to it comes within the screen of eps, and a grid maximum below
     eps when it lies within the screen of eps (|chord| is convex, so its cell
-    maxima sit at nodes).  The window ends count as one-sided extrema, and
-    their brackets cover the one cell beside them.  One _extrema call refines
-    the union of these brackets over all thresholds, each keyed by its centre
-    node and sign.  The
-    measure sums the intervals between sorted crossings whose crossing bracket
-    starts inside the set.  The error bound is the cell width times the count
-    of cells that passed the chord screen but produced no refined feature.  A
-    report is not converged when one of its crossing or extremum brackets is
-    still open at its refinement step cap.  A threshold at or above sum|c_j|
-    warns and gets the whole window; when every threshold does, nothing is
-    scanned.  _stacklevel points the warning at the caller's line.
+    maxima sit at nodes).  This is the bracket rule of find_zeros too
+    (_extremum_centres): the window ends count as one-sided extrema, and their
+    brackets cover the one cell beside them.  One _extrema call refines the
+    union of these brackets over all thresholds, each keyed by its centre node
+    and sign.  The measure sums the intervals between sorted crossings whose
+    crossing bracket starts inside the set.  The error bound is the cell width
+    times the count of cells that passed the chord screen but produced no
+    refined feature.  A report is not converged when one of its crossing or
+    extremum brackets is still open at its refinement step cap.  A threshold
+    at or above sum|c_j| warns and gets the whole window; when every threshold
+    does, nothing is scanned.  _stacklevel points the warning at the caller's
+    line.
     """
     if any(not eps > 0.0 for eps in epsilons):
         raise PhysicsError("epsilon must be positive")
@@ -412,21 +420,16 @@ def sublevel_measures(
     n = ts.size - 1
     h = float(window) / n
     absf = np.abs(fs)
-    # Padding with +inf for dips and -inf for rises lets the window ends
-    # count as one-sided extrema.
-    dip_pad, rise_pad = (np.pad(absf, 1, constant_values=end) for end in (np.inf, -np.inf))
     floor = _chord_distance(fs) - screen
     peak = np.maximum(absf[:-1], absf[1:])
     levels, keys = [], []
     for eps in [epsilons[k] for k in todo]:
-        gpad = dip_pad - eps
-        gvals = gpad[1:-1]
+        below = absf < eps
         # Cells on which |f| may pass below eps, or reach it.
         may_dip, may_rise = floor < eps, eps - peak < screen
-        dips, rises = _local_minima(gpad, 0.0) - 1, _local_minima(eps - rise_pad, 0.0) - 1
-        dips = dips[may_dip[np.maximum(dips - 1, 0)] | may_dip[np.minimum(dips, n - 1)]]
-        rises = rises[may_rise[np.maximum(rises - 1, 0)] | may_rise[np.minimum(rises, n - 1)]]
-        levels.append((eps, gvals < 0.0, may_dip, may_rise))
+        dips = _extremum_centres(absf, absf > eps, may_dip)
+        rises = _extremum_centres(-absf, below, may_rise)
+        levels.append((eps, below, may_dip, may_rise))
         keys.append(np.concatenate([2 * dips, 2 * rises + 1]))
     # Key 2i is a dip (sign +1) centred on node i, 2i + 1 a rise (sign -1).
     union, member = np.unique(np.concatenate(keys), return_inverse=True)
@@ -480,13 +483,10 @@ def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[fl
 
     A grid minimum is refined (Newton on d|f|^2/dt, the bracket ends
     included) only when the chord screen lets |f| fall to 1e-10 sum|c_j| on
-    one of its cells; a refined minimum at or below that is a zero.
-    Brackets still open at the refinement step cap raise a RuntimeWarning.
+    one of its cells (the bracket rule of sublevel_measures); a refined
+    minimum at or below that is a zero.  Brackets still open at the
+    refinement step cap raise a RuntimeWarning.
     """
-    if not 0.0 < window < math.inf:
-        raise PhysicsError("window must be positive and finite")
-    if sig.weight() == 0.0:
-        raise ZeroSignalError("signal is identically zero")
     zeros, still_open = _zeros(sig, window, base_grid)
     if still_open:
         message = f"{still_open} extremum brackets hit the step cap {_EXTREMUM_STEPS}"
@@ -495,20 +495,18 @@ def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[fl
 
 
 def _zeros(sig: TrigSignal, window: float, base_grid: int):
-    """The zeros of find_zeros, without its checks, and the open bracket count.
+    """The zeros of find_zeros, without its warning, and the open bracket count.
 
     The count is of extremum brackets still open at the step cap.
     """
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
+    if sig.weight() == 0.0:
+        raise ZeroSignalError("signal is identically zero")
     zero_level = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
-    n = ts.size - 1
-    # Padding with +inf lets the window ends count as one-sided minima.
-    idx = _local_minima(np.pad(np.abs(fs), 1, constant_values=np.inf), -np.inf) - 1
-    lo, hi = np.maximum(idx - 1, 0), np.minimum(idx + 1, n)
-    floor = _chord_distance(fs) - screen
-    # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
-    keep = np.minimum(floor[lo], floor[hi - 1]) <= zero_level
-    lo, hi = lo[keep], hi[keep]
+    centre = _extremum_centres(np.abs(fs), True, _chord_distance(fs) - screen <= zero_level)
+    lo, hi = np.maximum(centre - 1, 0), np.minimum(centre + 1, ts.size - 1)
     t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size))
     zeros = np.sort(np.clip(t_min[f_min <= zero_level], 0.0, float(window))).tolist()
     merged: list[float] = []
@@ -594,16 +592,11 @@ def paley_wiener_integral(
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
     """
-    if not 0.0 < window < math.inf:
-        raise PhysicsError("window must be positive and finite")
     if int(panels) < 100:
         raise DimensionError("panels must be at least 100")
-    if sig.weight() == 0.0:
-        raise ZeroSignalError("signal is identically zero")
-
     window, panels = float(window), int(panels)
-    grid = np.linspace(0.0, window, panels + 1)
     zeros, zeros_open = _zeros(sig, window, max(1000, 4 * panels))
+    grid = np.linspace(0.0, window, panels + 1)
     zeros = np.asarray(zeros)
     # A zero within the merge tolerance of a uniform edge is taken to lie on it.
     k = np.rint(zeros * (panels / window)).astype(int)

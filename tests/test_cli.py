@@ -421,6 +421,37 @@ class TestDeterminism:
         assert got == digests
 
     @pytest.mark.parametrize(
+        "spec, args",
+        [
+            (None, ["--seed", "7", "--grid", "256"]),
+            (build_spectrum("box", 16), ["--grid", "512"]),
+            (None, ["--grid", "1200", "--eps", "0.1", "--eps", "0.01", "--eps", "1e-6"]),
+        ],
+        ids=["harmonic8", "box16", "three-eps"],
+    )
+    def test_zeroset_writes_the_numbers_of_claim_iii(self, tmp_path, spec, args):
+        # zeroset writes claim (iii)'s ladder and Paley-Wiener pair without its
+        # verdict, so every number it writes is a number of claims.json.
+        argv = [*args]
+        if spec is not None:
+            problem = tmp_path / "problem.json"
+            serialize.dump_problem(problem, spec)
+            argv += ["-i", str(problem)]
+        out = tmp_path / "out"
+        assert main(["claims", *argv, "-o", str(out)]) == EXIT_OK
+        assert main(["zeroset", *argv, "-o", str(out)]) == EXIT_OK
+        claim = json.loads((out / "claims.json").read_text())["claims"]["claim_iii"]
+        record = json.loads((out / "paley_wiener.json").read_text())
+        assert record["window"] == claim["window"]
+        assert record["value"] == claim["paley_wiener_value"]
+        assert record["panels"] == claim["paley_wiener_panels"]
+        assert record["converged"] is claim["paley_wiener_converged"]
+        lines = (out / "measure_scaling.csv").read_text().splitlines()[1:]
+        rows = [[float(x) for x in line.split(",")[:2]] for line in lines]
+        assert [eps for eps, _ in rows] == claim["epsilons"]
+        assert [measure / claim["window"] for _, measure in rows] == claim["measure_fractions"]
+
+    @pytest.mark.parametrize(
         "argv, digests",
         [
             (

@@ -16,7 +16,7 @@ from timeobs import (
     random_state,
 )
 from timeobs import serialize
-from timeobs.cli import EXIT_OK, main
+from timeobs.cli import EXIT_OK, EXIT_PARSE, main
 from timeobs.operators import OperatorMatrix
 
 
@@ -88,6 +88,20 @@ class TestSpectrumDocuments:
             serialize.spectrum_from_dict({"kind": "harmonic", "n": "16"})
         with pytest.raises(SchemaError):
             serialize.spectrum_from_dict({"kind": "custom", "levels": "nope"})
+
+    @pytest.mark.parametrize("n", [5, 2, 0, 3.0, "3", True, None])
+    def test_custom_n_must_count_the_levels(self, tmp_path, n):
+        doc = {"kind": "custom", "levels": [1.0, 2.0, 3.0], "n": n}
+        with pytest.raises(SchemaError, match="spectrum.n"):
+            serialize.spectrum_from_dict(doc)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"spectrum": doc}))
+        assert main(["tg", "-i", str(path), "-o", str(tmp_path / "o")]) == EXIT_PARSE
+
+    def test_custom_n_is_optional(self):
+        doc = {"kind": "custom", "levels": [1.0, 2.0, 3.0]}
+        assert serialize.spectrum_from_dict(doc).size == 3
+        assert serialize.spectrum_from_dict({**doc, "n": 3}).size == 3
 
 
 class TestStateDocuments:

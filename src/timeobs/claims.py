@@ -26,8 +26,14 @@ from .spectral import (
     QuantumState,
     in_zero_sum_subspace,
 )
-# sublevel_measure: unused, kept as a perfbench/tracing.py wrap site.
-from .zeroset import TrigSignal, paley_wiener_integral, sublevel_measure, sublevel_measures
+# paley_wiener_integral, sublevel_measure: unused, kept as perfbench/tracing.py wrap sites.
+from .zeroset import (
+    TrigSignal,
+    paley_wiener_integral,
+    paley_wiener_integrals,
+    sublevel_measure,
+    sublevel_measures,
+)
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -102,11 +108,13 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
     """Claim (iii) on the signal of `state` over [0, tau_max].
 
     The eps ladder runs on max(1000, grid) cells, over the distinct epsilons
-    in descending order and then the tail threshold 1e-6 sum|c_j|.  The mean
-    |log|f|| is taken at grid // 4 (at least 100) panels and at twice that;
-    it is stable when the relative change between the two is within
-    PW_STABILITY_TOL and both integrals converged.  Returns the claim record
-    and the MeasureReport of each of the distinct epsilons.
+    in descending order and then the tail threshold 1e-6 sum|c_j|, in one
+    sublevel_measures call.  The mean |log|f|| is taken at grid // 4 (at
+    least 100) panels and at twice that, in one paley_wiener_integrals call
+    that shares the pair's zero search and common panels; it is stable when
+    the relative change between the two is within PW_STABILITY_TOL and both
+    integrals converged.  Returns the claim record and the MeasureReport of
+    each of the distinct epsilons.
     """
     sig = TrigSignal.from_state(spectrum, state)
     window = float(tau_max)
@@ -117,8 +125,7 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
     refined = tail.converged and all(report.converged for report in reports)
 
     panels = max(100, int(grid) // 4)
-    coarse = paley_wiener_integral(sig, window, panels)
-    fine = paley_wiener_integral(sig, window, 2 * panels)
+    coarse, fine = paley_wiener_integrals(sig, window, [panels, 2 * panels])
     rel_change = abs(fine.value - coarse.value) / max(abs(fine.value), 1e-300)
     converged = rel_change <= PW_STABILITY_TOL and coarse.converged and fine.converged
     record = {

@@ -17,12 +17,16 @@ threshold.  Crossings and extrema are refined by
 safeguarded Newton inside their brackets, with f, f' and f'' from one phase
 block per point, and a sublevel measure is summed from the sides on which
 its crossing brackets start.  A ladder of thresholds (sublevel_measures)
-shares one scan and one refinement of each extremum bracket, and refines
-its crossings per threshold.  The mean-log integral is lockstep adaptive
-Gauss-Legendre quadrature with the zeros as panel edges and each zero's log
-singularity integrated in closed form.  Its nodes share the scan's
-phase-table product: the panels of one width sample f at the same offsets
-from their left ends.
+shares one scan, one refinement of each extremum bracket and one lockstep
+refinement of the crossings of every threshold.  The mean-log integral is
+lockstep adaptive Gauss-Legendre quadrature with the zeros as panel edges
+and each zero's log singularity integrated in closed form.  Its nodes share
+the scan's phase-table product: the panels of one width sample f at the
+same offsets from their left ends.  Several panel counts
+(paley_wiener_integrals) share one zero search per scan grid and evaluate
+each distinct panel once per step.  The bits of each row of eval_f and
+_phase_product do not depend on the other rows in its call, so every
+shared result is bit-equal to a call of its own.
 
 Convergence is returned, not warned: a bracket still open at a refinement
 step cap, or a panel still open at the quadrature level cap, makes the
@@ -133,10 +137,12 @@ def _require_finite_phases(t, freqs: np.ndarray) -> None:
 def _row_blocks(count: int, width: int) -> list[slice]:
     """Row slices of a count x width phase table, _BLOCK_ENTRIES // width rows each.
 
-    numpy multiplies a one-row table by another kernel than a taller one,
-    with other last bits, so no block but a whole one-row table has one row:
-    a lone trailing row joins the block before it, and a block has at least
-    two rows.
+    numpy multiplies a one-row table by other kernels than a taller one, with
+    other last bits, so no block but a whole one-row table has one row: a
+    lone trailing row joins the block before it, and a block has at least two
+    rows.  eval_f and _phase_product run a one-row table as two equal rows and
+    keep the first, so a row's bits do not depend on the other rows in its
+    call.
     """
     rows = max(2, _BLOCK_ENTRIES // width)
     edges = [*range(0, count, rows), count]
@@ -183,9 +189,9 @@ class _Jet:
 class MeasureReport:
     """Sublevel-measure estimate lambda{t in [0, window] : |f(t)| < epsilon}.
 
-    refinement_depth is the number of lockstep steps the crossing refinement
-    took; converged is false when a crossing or extremum bracket was still
-    open at its step cap.
+    refinement_depth is the number of lockstep steps its crossing brackets
+    took to close (the step cap when one stayed open); converged is false
+    when a crossing or extremum bracket was still open at its step cap.
     """
 
     epsilon: float
@@ -226,8 +232,12 @@ def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> 
     e^{-i omega (s + o)} = e^{-i omega s} e^{-i omega o}, so the table is
     (amps * e^{-i omega s}) (rows, N) @ e^{-i omega o} (N, offsets): (rows +
     offsets) N exponentials and one product per _row_blocks block of start
-    phases, 4 MiB at most.  Its error is bounded by _scan_rounding.
+    phases, 4 MiB at most.  Its error is bounded by _scan_rounding.  One start
+    runs as two equal starts, the first row kept, so a row's bits do not
+    depend on its call (see _row_blocks).
     """
+    if starts.size == 1:
+        return _phase_product(sig, np.repeat(starts, 2), offsets)[:1]
     inner = _phases(sig.freqs, offsets)
     table = np.empty((starts.size, offsets.size), dtype=complex)
     for rows in _row_blocks(starts.size, sig.count):
@@ -299,13 +309,15 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
     converged root.  A bracket need not change sign: where it does not, the
     side test moves the same end every step and closes the bracket on the
     other.  The open brackets (_open) share one eval_f call per step, for at
-    most cap steps.  Returns the brackets, the step count and the indices of
-    the brackets still open.
+    most cap steps.  Returns the brackets, the step after which each was
+    closed (cap for one still open) and the indices of the brackets still
+    open.
     """
     jet = _Jet(sig)
     lo, hi = lo.copy(), hi.copy()
     x = 0.5 * (lo + hi)
     live = np.arange(lo.size)
+    closed_at = np.zeros(lo.size, dtype=int)
     steps = 0
     while live.size and steps < cap:
         xl = x[live]
@@ -317,29 +329,36 @@ def _newton(sig: TrigSignal, lo, hi, probe, cap: int):
         nxt = xl - np.where(np.abs(step) < floor, np.copysign(floor, step), step)
         x[live] = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
         steps += 1
+        closed_at[live] = steps
         live = live[_open(a, b)]
-    return lo, hi, steps, live
+    return lo, hi, closed_at, live
 
 
-def _crossings(sig: TrigSignal, lo, hi, inside_lo, shift: float) -> tuple[np.ndarray, int, int]:
+def _crossings(
+    sig: TrigSignal, lo, hi, inside_lo, shift
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Crossings of |f| = shift on all brackets [lo, hi] in lockstep, to BISECTION_TOL.
 
-    inside_lo flags brackets whose left end lies in {|f| < shift}.  Newton runs
-    on |f| - shift (d|f|/dt = Re(conj(f) f') / |f|, so it is exact where |f|
-    is linear in t, as next to a simple zero), and every iterate replaces the
-    bracket end on its side of the crossing, so each crossing keeps
-    bisection's guarantee.  Returns the final midpoints, the lockstep step
-    count and how many brackets were still open after _CROSSING_STEPS steps.
+    shift holds one threshold per bracket, and inside_lo flags brackets whose
+    left end lies in {|f| < shift}.  Newton runs on |f| - shift (d|f|/dt =
+    Re(conj(f) f') / |f|, so it is exact where |f| is linear in t, as next to
+    a simple zero), and every iterate replaces the bracket end on its side of
+    the crossing, so each crossing keeps bisection's guarantee.  A bracket's
+    iterates depend on its own values alone, so it ends as in a call of its
+    own.  Returns the final midpoints, the step after which each bracket was
+    closed (_CROSSING_STEPS for one still open) and the indices of the
+    brackets still open after _CROSSING_STEPS steps.
     """
 
     def probe(live, x, jet):
         f, f1 = jet[:, 0], jet[:, 1]
         absf = np.abs(f)
-        to_lo = (absf - shift < 0.0) == inside_lo[live]
-        return to_lo, (absf - shift) * absf / (f.real * f1.real + f.imag * f1.imag)
+        gap = absf - shift[live]
+        to_lo = (gap < 0.0) == inside_lo[live]
+        return to_lo, gap * absf / (f.real * f1.real + f.imag * f1.imag)
 
-    lo, hi, steps, still_open = _newton(sig, lo, hi, probe, _CROSSING_STEPS)
-    return 0.5 * (lo + hi), steps, still_open.size
+    lo, hi, closed_at, still_open = _newton(sig, lo, hi, probe, _CROSSING_STEPS)
+    return 0.5 * (lo + hi), closed_at, still_open
 
 
 def _extrema(sig: TrigSignal, a, b, sign):
@@ -383,7 +402,9 @@ def sublevel_measures(
 
     One uniform scan serves every threshold.  Its sign changes of |f| - eps
     are refined by safeguarded Newton on |f| - eps to sign-change brackets of
-    at most 1e-12 in t, in one _crossings call per threshold.  A grid minimum
+    at most 1e-12 in t, in one _crossings call for all thresholds: each
+    bracket carries its own eps, and a report's refinement_depth is the step
+    after which its last bracket closed.  A grid minimum
     above eps is promoted to extremum refinement (Newton on d|f|^2/dt) when a
     chord next to it comes within the screen of eps, and a grid maximum below
     eps when it lies within the screen of eps (|chord| is convex, so its cell
@@ -439,22 +460,38 @@ def sublevel_measures(
     best_t, best_v, ext_open = _extrema(sig, ts[lo], ts[hi], sign)
     uses = np.split(member, np.cumsum([key.size for key in keys])[:-1])
 
-    for k, (eps, below, may_dip, may_rise), used in zip(todo, levels, uses):
+    features, starts, ends, insides = [], [], [], []
+    for (eps, below, *_), used in zip(levels, uses):
         # |f| - eps at each minimizer; a bracket hits eps where sign * that is negative.
         g_ext = sign[used] * best_v[used] - eps
         hit = sign[used] * g_ext < 0.0
         ext_lo, ext_hi, t_ext, g_ext = lo[used][hit], hi[used][hit], best_t[used][hit], g_ext[hit]
         cross = np.nonzero(below[:-1] != below[1:])[0]
-
+        features.append((cross, ext_lo, ext_hi))
+        starts.append(np.concatenate([ts[cross], ts[ext_lo], t_ext]))
+        ends.append(np.concatenate([ts[cross + 1], t_ext, ts[ext_hi]]))
         # The right half of a split extremum starts at t_ext: inside for a dip.
-        inside_lo = np.concatenate([below[cross], below[ext_lo], g_ext < 0.0])
-        crossings, depth, cross_open = _crossings(
-            sig,
-            np.concatenate([ts[cross], ts[ext_lo], t_ext]),
-            np.concatenate([ts[cross + 1], t_ext, ts[ext_hi]]),
-            inside_lo,
-            eps,
-        )
+        insides.append(np.concatenate([below[cross], below[ext_lo], g_ext < 0.0]))
+    # One _crossings call refines the crossing brackets of every threshold.
+    sizes = [inside.size for inside in insides]
+    mids, closed_at, still_open = _crossings(
+        sig,
+        np.concatenate(starts),
+        np.concatenate(ends),
+        np.concatenate(insides),
+        np.repeat([eps for eps, *_ in levels], sizes),
+    )
+    unclosed = np.zeros(mids.size, dtype=bool)
+    unclosed[still_open] = True
+    bounds = np.cumsum([0, *sizes])
+
+    for k, level, used, (cross, ext_lo, ext_hi), inside_lo, first, stop in zip(
+        todo, levels, uses, features, insides, bounds, bounds[1:]
+    ):
+        eps, below, may_dip, may_rise = level
+        crossings = mids[first:stop]
+        # The step after which its last crossing bracket closed, as in a call of its own.
+        depth = int(np.max(closed_at[first:stop], initial=0))
         refined = np.zeros(n, dtype=bool)
         refined[cross] = refined[ext_lo] = refined[ext_hi - 1] = True
 
@@ -468,7 +505,7 @@ def sublevel_measures(
         same_sign = below[:-1] == below[1:]
         suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
         error_bound = h * suspicious + BISECTION_TOL * crossings.size
-        converged = cross_open == 0 and not np.isin(used, ext_open).any()
+        converged = not unclosed[first:stop].any() and not np.isin(used, ext_open).any()
         reports[k] = MeasureReport(eps, float(window), measure, depth, error_bound, converged)
     return reports
 
@@ -494,15 +531,20 @@ def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[fl
     return zeros
 
 
+def _check_search(sig: TrigSignal, window: float) -> None:
+    """The checks of a zero search: a positive finite window and a nonzero signal."""
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
+    if sig.weight() == 0.0:
+        raise ZeroSignalError("signal is identically zero")
+
+
 def _zeros(sig: TrigSignal, window: float, base_grid: int):
     """The zeros of find_zeros, without its warning, and the open bracket count.
 
     The count is of extremum brackets still open at the step cap.
     """
-    if not 0.0 < window < math.inf:
-        raise PhysicsError("window must be positive and finite")
-    if sig.weight() == 0.0:
-        raise ZeroSignalError("signal is identically zero")
+    _check_search(sig, window)
     zero_level = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
     centre = _extremum_centres(np.abs(fs), True, _chord_distance(fs) - screen <= zero_level)
@@ -557,9 +599,13 @@ def _panel_rules(sig: TrigSignal, rows: np.ndarray, absolute: bool) -> np.ndarra
     at_lo = np.stack([zero_a, zero_a, none], axis=1)
     at_hi = np.stack([zero_b, none, zero_b], axis=1)
     half = w[:, None] * np.array([0.5, 0.25, 0.25])
-    near = at_lo[..., None] * _log(t - lo[..., None]) + at_hi[..., None] * _log(hi[..., None] - t)
     sigma = -1.0 if absolute else 1.0
-    integrand = (np.abs(logf) if absolute else logf) - sigma * near
+    integrand = np.abs(logf) if absolute else logf
+    # The subtraction is 0 on a panel with no zero end: form it on the others only.
+    z = np.flatnonzero((zero_a != 0.0) | (zero_b != 0.0))
+    t, lo, hi = t[z], lo[z, :, None], hi[z, :, None]
+    near = at_lo[z, :, None] * _log(t - lo) + at_hi[z, :, None] * _log(hi - t)
+    integrand[z] -= sigma * near
     exact = sigma * (at_lo + at_hi) * 2.0 * half * (_log(2.0 * half) - 1.0)
     return half * (integrand @ weights) + exact
 
@@ -579,37 +625,117 @@ class PaleyWienerReport:
 def paley_wiener_integral(
     sig: TrigSignal, window: float, panels: int = 256, absolute: bool = True
 ) -> PaleyWienerReport:
-    """Window-averaged integral of |log|f|| (log|f| when absolute=False).
+    """Window-averaged integral of |log|f|| (log|f| when absolute=False) on `panels` panels.
 
-    Lockstep adaptive Gauss-Legendre quadrature of order 12 over `panels`
-    uniform panels plus the zeros of find_zeros (via _zeros) as edges, with each
-    zero's log singularity integrated in closed form.  Each level evaluates
-    every open panel and its two halves with one _phase_product per panel
-    width; a panel is accepted when the two estimates agree to PANEL_TOL and
-    halved otherwise.  After 40 levels the open panels keep their halves'
-    sum.  The report is not converged when the level cap or the zero search's
-    step cap was hit.
+    paley_wiener_integrals at one panel count.
+    """
+    return paley_wiener_integrals(sig, window, [panels], absolute)[0]
+
+
+def paley_wiener_integrals(
+    sig: TrigSignal, window: float, panel_counts, absolute: bool = True
+) -> list[PaleyWienerReport]:
+    """Window-averaged integrals of |log|f|| (log|f| when absolute=False), one per panel count.
+
+    For a count p: lockstep adaptive Gauss-Legendre quadrature of order 12
+    over p uniform panels plus the zeros of find_zeros (via _zeros, on
+    max(1000, 4p) base cells) as edges, with each zero's log singularity
+    integrated in closed form.  Each level evaluates every open panel and its
+    two halves; a panel is accepted when the two estimates agree to
+    PANEL_TOL and halved otherwise.  After 40 levels the open panels keep
+    their halves' sum.  A report is not converged when its level cap or its
+    zero search's step cap was hit.
+
+    The counts share their work, and each report is bit-equal to a call with
+    its count alone.  Counts whose scans have one cell count share one zero
+    search.  One loop advances every count's tree: at each step the distinct
+    open panels (a, b, zero_a, zero_b), by their exact bits, go through
+    _panel_rules once, in _PANEL_BLOCK blocks, and each tree accepts or
+    halves its own.  A panel's rules do not depend on the other panels in
+    the call (_row_blocks).  A count 2^k times the smallest starts k steps
+    later, so that its panels meet the halves of the coarser tree.  Only the
+    current step's panels are held.
+
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
     """
-    if int(panels) < 100:
+    counts = [int(p) for p in panel_counts]
+    if any(p < 100 for p in counts):
         raise DimensionError("panels must be at least 100")
-    window, panels = float(window), int(panels)
-    zeros, zeros_open = _zeros(sig, window, max(1000, 4 * panels))
+    window = float(window)
+    _check_search(sig, window)
+    searches = {}  # scan cell count -> (zeros, open bracket count)
+    trees, starts, zeros_open = [], [], []
+    for p in counts:
+        base = max(1000, 4 * p)
+        cells = _cell_count(sig, window, base)
+        if cells not in searches:
+            searches[cells] = _zeros(sig, window, base)
+        zeros, still_open = searches[cells]
+        trees.append(_panel_tree(_first_panels(window, p, zeros)))
+        starts.append((p // min(counts)).bit_length() - 1)
+        zeros_open.append(still_open)
+
+    results = [None] * len(trees)
+    asks = [None] * len(trees)  # the panels each tree waits to have evaluated
+
+    def advance(k, est):
+        try:
+            asks[k] = trees[k].send(est)
+        except StopIteration as stop:
+            asks[k], results[k] = None, stop.value
+
+    step = 0
+    while None in results:
+        for k, start in enumerate(starts):
+            if start == step:
+                advance(k, None)
+        live = [k for k, rows in enumerate(asks) if rows is not None]
+        if live:
+            rows = np.concatenate([asks[k] for k in live])
+            # Each row's 32 bytes as one key: equal keys are equal bits.
+            keys = rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            distinct = distinct.view(float).reshape(-1, 4)
+            est = np.concatenate([
+                _panel_rules(sig, distinct[s:s + _PANEL_BLOCK], absolute)
+                for s in range(0, len(distinct), _PANEL_BLOCK)
+            ])
+            parts = np.cumsum([len(asks[k]) for k in live])[:-1]
+            for k, part in zip(live, np.split(inverse, parts)):
+                advance(k, est[part])
+        step += 1
+    return [
+        PaleyWienerReport(total / window, still_open == 0 and closed)
+        for (total, closed), still_open in zip(results, zeros_open)
+    ]
+
+
+def _first_panels(window: float, panels: int, zeros) -> np.ndarray:
+    """Rows (a, b, zero_a, zero_b) of `panels` uniform panels split at the zeros.
+
+    A zero within the merge tolerance of a uniform edge is taken to lie on it.
+    """
     grid = np.linspace(0.0, window, panels + 1)
     zeros = np.asarray(zeros)
-    # A zero within the merge tolerance of a uniform edge is taken to lie on it.
     k = np.rint(zeros * (panels / window)).astype(int)
     zeros = np.where(np.abs(grid[k] - zeros) <= _merge_tol(window), grid[k], zeros)
     edges = np.union1d(grid, zeros)
     on_zero = np.isin(edges, zeros).astype(float)
-    rows = np.column_stack([edges[:-1], edges[1:], on_zero[:-1], on_zero[1:]])
+    return np.column_stack([edges[:-1], edges[1:], on_zero[:-1], on_zero[1:]])
+
+
+def _panel_tree(rows: np.ndarray):
+    """One adaptive quadrature tree as a generator: the caller drives its levels.
+
+    Each level yields the open panels and is sent their _panel_rules rows.
+    Returns the integral over the window and whether every panel closed.
+    """
     total, pending = 0.0, np.zeros(0)
     for _ in range(_MAX_LEVELS):
         if rows.size == 0:
             break
-        blocks = [rows[s:s + _PANEL_BLOCK] for s in range(0, len(rows), _PANEL_BLOCK)]
-        est = np.concatenate([_panel_rules(sig, block, absolute) for block in blocks])
+        est = yield rows
         halves = est[:, 1] + est[:, 2]
         done = np.abs(est[:, 0] - halves) <= PANEL_TOL
         total += float(np.sum(halves[done]))
@@ -620,7 +746,7 @@ def paley_wiener_integral(
         rows = np.concatenate([np.column_stack(left), np.column_stack(right)])
     # Panels still open at the level cap keep their halves' sum.
     total += float(np.sum(pending))
-    return PaleyWienerReport(total / window, zeros_open == 0 and rows.size == 0)
+    return total, rows.size == 0
 
 
 def _convergent_within(x: float, tol_abs: float, max_den: int) -> tuple[int, int, float]:

@@ -25,6 +25,7 @@ from timeobs import (
     evolve,
     find_zeros,
     paley_wiener_integral,
+    paley_wiener_integrals,
     periodic_approximation,
     project_to_zero_sum,
     random_state,
@@ -366,6 +367,18 @@ class TestPhaseProduct:
         split = _phase_product(sig, starts, offsets)
         np.testing.assert_array_equal(split.view(np.int64), whole.view(np.int64))
 
+    # A width group of one Paley-Wiener panel is a one-start product.
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+    @example(seed=0, n=8)
+    def test_one_start_has_the_bits_of_its_row_among_two(self, seed, n):
+        sig = _random_signal(seed, n)
+        rng = np.random.default_rng(seed)
+        start, offsets = rng.uniform(0.0, 10.0, 1), rng.uniform(0.0, 0.5, 36)
+        alone = _phase_product(sig, start, offsets)
+        pair = _phase_product(sig, np.repeat(start, 2), offsets)
+        np.testing.assert_array_equal(alone[0].view(np.int64), pair[0].view(np.int64))
+
 
 class TestSublevelMeasure:
     # At window 7 the zero at pi falls between grid points, and for the small
@@ -557,8 +570,36 @@ class TestSublevelLadder:
         reports = sublevel_measures(balanced_signal, [0.5, 1e-4], 7.0)
         assert [r.converged for r in reports] == [True, False]
 
+    def test_one_crossings_call_refines_every_threshold(self, monkeypatch):
+        shifts = []
+
+        def spy(*args):
+            shifts.append(args[-1])
+            return _crossings(*args)
+
+        monkeypatch.setattr(zeroset, "_crossings", spy)
+        epsilons = [0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6]
+        for report in sublevel_measures(_box32_benchmark_signal(), epsilons, 10.0, base_grid=1000):
+            _converged(report)
+        assert len(shifts) == 1
+        assert set(shifts[0].tolist()) == set(epsilons)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_ladder_is_bit_equal_to_one_call_per_threshold_at_the_step_cap(self, monkeypatch, cap):
+        # Brackets of one threshold close at different steps: a report's depth is
+        # its own last closing step, or the cap when one of them stays open.
+        monkeypatch.setattr(zeroset, "_CROSSING_STEPS", cap)
+        sig = _box32_benchmark_signal()
+        epsilons = [0.3, 0.1, 1e-2, 1e-4, 1e-6]
+        ladder = sublevel_measures(sig, epsilons, 10.0, base_grid=1000)
+        single = [sublevel_measure(sig, eps, 10.0, base_grid=1000) for eps in epsilons]
+        assert [_report_bits(r) for r in ladder] == [_report_bits(r) for r in single]
+        assert not all(r.converged for r in ladder)
+        assert all(r.refinement_depth == cap for r in ladder if not r.converged)
+
     def test_run_claims_scans_three_times(self, monkeypatch):
-        # One ladder scan and one zero search in each Paley-Wiener integral.
+        # One ladder scan and one zero search for each Paley-Wiener panel count:
+        # at N = 8 the two counts scan 1000 and 1024 cells.
         scans = []
 
         def counted(*args):
@@ -647,12 +688,12 @@ class TestLockstepRefiners:
         delta = 2.0 * math.asin(eps / math.sqrt(2.0))
         lo = np.array([math.pi - delta - 0.01, math.pi + delta - 0.002])
         hi = np.array([math.pi - delta + 0.003, math.pi + delta + 0.01])
-        crossings, depth, still_open = _crossings(
-            balanced_signal, lo, hi, np.array([False, True]), eps
+        crossings, closed_at, still_open = _crossings(
+            balanced_signal, lo, hi, np.array([False, True]), np.full(2, eps)
         )
         np.testing.assert_allclose(crossings, [math.pi - delta, math.pi + delta], atol=1e-11)
-        assert 0 < depth <= 80
-        assert still_open == 0
+        assert np.all((0 < closed_at) & (closed_at <= 80))
+        assert still_open.size == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -672,8 +713,9 @@ class TestLockstepRefiners:
         sub = ts[cross, None] + np.linspace(0.0, 1.0, 65) * (ts[cross + 1] - ts[cross])[:, None]
         side = np.abs(eval_f(sig, sub)) - eps < 0.0
         cross = cross[np.sum(side[:, 1:] != side[:, :-1], axis=1) == 1]
-        crossings, _, still_open = _crossings(sig, ts[cross], ts[cross + 1], below[cross], eps)
-        assert still_open == 0
+        shift = np.full(cross.size, eps)
+        crossings, _, still_open = _crossings(sig, ts[cross], ts[cross + 1], below[cross], shift)
+        assert still_open.size == 0
         for k, c in enumerate(cross):
             ref = _scalar_bisection(
                 lambda t: abs(eval_f(sig, t)) - eps < 0.0, ts[c], ts[c + 1], below[c]
@@ -750,9 +792,9 @@ class TestLockstepRefiners:
         found = []
 
         def spy(*args):
-            crossings, depth, still_open = _crossings(*args)
+            crossings, closed_at, still_open = _crossings(*args)
             found.append(crossings)
-            return crossings, depth, still_open
+            return crossings, closed_at, still_open
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeroset, "_crossings", spy)
@@ -985,6 +1027,8 @@ class TestPaleyWiener:
         _converged(paley_wiener_integral(incommensurate_five, TWO_PI, 200))
         monkeypatch.setattr(zeroset, "_MAX_LEVELS", 1)
         assert not paley_wiener_integral(incommensurate_five, TWO_PI, 200).converged
+        pair = paley_wiener_integrals(incommensurate_five, TWO_PI, [200, 400])
+        assert [report.converged for report in pair] == [False, False]
         claim_iii = run_claims(spec, psi)["claim_iii"]
         assert not claim_iii["paley_wiener_converged"]
         assert not claim_iii["demonstrated"]
@@ -1019,6 +1063,67 @@ class TestPaleyWiener:
     def test_panel_floor(self, balanced_signal):
         with pytest.raises(DimensionError):
             paley_wiener_integral(balanced_signal, 1.0, 50)
+        # Every count is checked before the window and the signal.
+        zero = TrigSignal(np.array([1.0]), np.array([0.0]))
+        for sig, window in ((balanced_signal, -1.0), (balanced_signal, math.inf), (zero, 1.0)):
+            with pytest.raises(DimensionError):
+                paley_wiener_integral(sig, window, 50)
+            with pytest.raises(DimensionError):
+                paley_wiener_integrals(sig, window, [200, 50])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["harmonic", "box", "custom"]),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        zero_sum=st.booleans(),
+        window=st.sampled_from([10.0, 7.3, 31.0]),
+        absolute=st.booleans(),
+        p=st.integers(100, 200),
+        layout=st.sampled_from([(1,), (1, 2), (2, 1), (1, 1)]),
+    )
+    # The pair that claim (iii) runs on the default problem.
+    @example(
+        kind="harmonic", n=8, seed=7, zero_sum=True, window=10.0, absolute=True, p=128, layout=(1, 2)
+    )
+    def test_counts_together_are_bit_equal_to_one_call_per_count(
+        self, kind, n, seed, zero_sum, window, absolute, p, layout
+    ):
+        if kind == "custom":
+            levels = np.sort(np.random.default_rng(seed).uniform(0.0, 30.0, n))
+            spec = build_spectrum("custom", n, levels=levels)
+            sig = TrigSignal.from_state(spec, random_state(n, seed, in_zero_sum=zero_sum))
+        else:
+            sig = _structured_signal(kind, n, seed, zero_sum)
+        counts = [m * p for m in layout]
+        together = paley_wiener_integrals(sig, window, counts, absolute)
+        alone = [paley_wiener_integral(sig, window, count, absolute) for count in counts]
+        bits = [[(r.value.hex(), r.converged) for r in reports] for reports in (together, alone)]
+        assert bits[0] == bits[1]
+
+    def test_pair_searches_zeros_once_and_shares_its_panels(self, monkeypatch):
+        # Harmonic N = 64, window 10: both counts scan 2022 cells, and most halves
+        # of the coarse tree are panels of the fine one.
+        sig = _structured_signal("harmonic", 64, 7, True)
+        rows, searches = [], []
+        zeros, rules = zeroset._zeros, zeroset._panel_rules
+
+        def counted_zeros(*args):
+            searches.append(args)
+            return zeros(*args)
+
+        def counted_rules(s, panels, absolute):
+            rows.append(len(panels))
+            return rules(s, panels, absolute)
+
+        monkeypatch.setattr(zeroset, "_zeros", counted_zeros)
+        monkeypatch.setattr(zeroset, "_panel_rules", counted_rules)
+        alone = [_converged(paley_wiener_integral(sig, 10.0, count)) for count in (128, 256)]
+        two_calls, rows[:], searches[:] = sum(rows), [], []
+        pair = paley_wiener_integrals(sig, 10.0, [128, 256])
+        assert pair == alone
+        assert len(searches) == 1
+        assert sum(rows) <= 0.6 * two_calls
 
 
 class TestBohrMean:

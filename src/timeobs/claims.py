@@ -53,19 +53,24 @@ def run_claims(
     """Run all three demonstrations and return a pass/fail summary.
 
     Claims (ii) and (iii) use the state itself when it passes the zero-sum
-    membership test (|sum_j c_j| <= MEMBERSHIP_TOL), else its projection.
+    membership test (|sum_j c_j| <= MEMBERSHIP_TOL), else its projection
+    (_zero_sum).
     """
     grid = max(int(grid), 2)
-    zero_sum_state = state if in_zero_sum_subspace(state) else project_to_zero_sum(state)
     summary = {
         "claim_i": _claim_i(spectrum, state, grid, tau_max),
-        "claim_ii": _claim_ii(spectrum, zero_sum_state, grid, tau_max),
-        "claim_iii": claim_iii(spectrum, zero_sum_state, grid, tau_max, epsilons)[0],
+        "claim_ii": _claim_ii(spectrum, _zero_sum(state), grid, tau_max),
+        "claim_iii": claim_iii(spectrum, state, grid, tau_max, epsilons)[0],
     }
     summary["all_demonstrated"] = all(
         summary[key]["demonstrated"] for key in ("claim_i", "claim_ii", "claim_iii")
     )
     return summary
+
+
+def _zero_sum(state: QuantumState) -> QuantumState:
+    """`state` when it passes the zero-sum membership test, else its projection."""
+    return state if in_zero_sum_subspace(state) else project_to_zero_sum(state)
 
 
 def _claim_i(spectrum, state, grid, tau_max) -> dict:
@@ -105,7 +110,7 @@ def _claim_ii(spectrum, state, grid, tau_max) -> dict:
 
 
 def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
-    """Claim (iii) on the signal of `state` over [0, tau_max].
+    """Claim (iii) on the signal of _zero_sum(state) over [0, tau_max].
 
     The eps ladder runs on max(1000, grid) cells, over the distinct epsilons
     in descending order and then the tail threshold 1e-6 sum|c_j|, in one
@@ -116,7 +121,7 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
     integrals converged.  Returns the claim record and the MeasureReport of
     each of the distinct epsilons.
     """
-    sig = TrigSignal.from_state(spectrum, state)
+    sig = TrigSignal.from_state(spectrum, _zero_sum(state))
     window = float(tau_max)
     eps_sorted = sorted({float(e) for e in epsilons}, reverse=True)
     tail_eps = 1e-6 * sig.weight()

@@ -41,7 +41,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PHYSICS = 3
 
-COMMANDS = ("tg", "canonical", "cauchy", "zeroset", "claims")
 DEFAULT_EPSILONS = claims_mod.DEFAULT_EPSILONS
 _DEFAULT_LEVELS = 8
 _MAX_CAUCHY_N = 512
@@ -75,14 +74,6 @@ _FLAGS = {
     ),
     "seed": (("--seed",), dict(type=int, help="random-state seed")),
     "target": (("--target",), dict(type=int, help="eigenstate index")),
-}
-# The flags each command reads.
-_COMMAND_FLAGS = {
-    "tg": ("input", "output"),
-    "canonical": ("input", "output", "grid", "tau-max", "seed"),
-    "cauchy": ("output", "grid", "target"),
-    "zeroset": ("input", "output", "grid", "tau-max", "eps", "seed"),
-    "claims": ("input", "output", "grid", "tau-max", "eps", "seed"),
 }
 
 
@@ -121,17 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "tg": "export the time-operator matrix and commutator diagnostics",
-        "canonical": "sample the canonical density and verify the shift law",
-        "cauchy": "emit the zero-sum convergence ladder",
-        "zeroset": "scan sublevel measures and the mean-log integral",
-        "claims": "run the full demonstration suite",
-    }
-    for name in COMMANDS:
+    for name, (_, help_text, flags) in COMMANDS.items():
         # A flag left out keeps the RunConfig default.
-        cmd = sub.add_parser(name, help=descriptions[name], argument_default=argparse.SUPPRESS)
-        for flag in _COMMAND_FLAGS[name]:
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
             names, options = _FLAGS[flag]
             cmd.add_argument(*names, **options)
     return parser
@@ -160,13 +144,7 @@ def main(argv=None) -> int:
 def run(config: RunConfig) -> int:
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "tg": _cmd_tg,
-        "canonical": _cmd_canonical,
-        "cauchy": _cmd_cauchy,
-        "zeroset": _cmd_zeroset,
-        "claims": _cmd_claims,
-    }[config.command]
+    runner = COMMANDS[config.command][0]
     runner(config, out_dir)
     return EXIT_OK
 
@@ -277,6 +255,32 @@ def _cmd_claims(config: RunConfig, out_dir: Path) -> None:
     }
     serialize.write_json(out_dir / "claims.json", document)
     print(f"wrote {out_dir / 'claims.json'}")
+
+
+# Each command's runner, --help line and the flags it reads.
+COMMANDS = {
+    "tg": (
+        _cmd_tg,
+        "export the time-operator matrix and commutator diagnostics",
+        ("input", "output"),
+    ),
+    "canonical": (
+        _cmd_canonical,
+        "sample the canonical density and verify the shift law",
+        ("input", "output", "grid", "tau-max", "seed"),
+    ),
+    "cauchy": (_cmd_cauchy, "emit the zero-sum convergence ladder", ("output", "grid", "target")),
+    "zeroset": (
+        _cmd_zeroset,
+        "scan sublevel measures and the mean-log integral",
+        ("input", "output", "grid", "tau-max", "eps", "seed"),
+    ),
+    "claims": (
+        _cmd_claims,
+        "run the full demonstration suite",
+        ("input", "output", "grid", "tau-max", "eps", "seed"),
+    ),
+}
 
 
 if __name__ == "__main__":

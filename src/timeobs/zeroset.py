@@ -9,24 +9,26 @@ commensurate (periodic) approximants with a guaranteed sup-norm bound.
 
 Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
 The scan evaluates f on a uniform grid as one product of two phase tables.
-One rule (_extremum_centres) turns grid extrema, the window ends counted as
-one-sided, into brackets for zeros, dips and rises alike: it keeps those next
-to a cell where the chord-curvature screen (the distance from 0 to a chord,
-less sum|c_j| omega_j^2 h^2 / 8 and a rounding term) lets |f| reach the
-threshold.  Crossings and extrema are refined by
-safeguarded Newton inside their brackets, with f, f' and f'' from one phase
-block per point, and a sublevel measure is summed from the sides on which
-its crossing brackets start.  A ladder of thresholds (sublevel_measures)
-shares one scan, one refinement of each extremum bracket and one lockstep
-refinement of the crossings of every threshold.  The mean-log integral is
-lockstep adaptive Gauss-Legendre quadrature with the zeros as panel edges
-and each zero's log singularity integrated in closed form.  Its nodes share
-the scan's phase-table product: the panels of one width sample f at the
-same offsets from their left ends.  Several panel counts
-(paley_wiener_integrals) share one zero search per scan grid and evaluate
-each distinct panel once per step.  The bits of each row of eval_f and
-_phase_product do not depend on the other rows in its call, so every
-shared result is bit-equal to a call of its own.
+One rule turns grid extrema, the window ends counted as one-sided, into
+brackets for zeros, dips and rises alike: _extremum_centres finds the grid
+minima of |f| (or of -|f|), and _beside keeps those next to a cell where the
+chord-curvature screen (the distance from 0 to a chord, less sum|c_j|
+omega_j^2 h^2 / 8 and a rounding term) lets |f| reach the threshold.
+Crossings and extrema are refined by safeguarded Newton inside their
+brackets, with f, f' and f'' from one phase block per point, and a sublevel
+measure is summed from the sides on which its crossing brackets start.  A
+ladder of thresholds (sublevel_measures) holds its masks with one row per
+threshold, so it shares one scan, one refinement of the extremum brackets
+that any row needs and one lockstep refinement of every row's crossings.
+The mean-log integral is lockstep adaptive Gauss-Legendre quadrature with
+the zeros as panel edges and each zero's log singularity integrated in
+closed form.  Its nodes share the scan's phase-table product: the panels of
+one width sample f at the same offsets from their left ends.  Several panel
+counts (paley_wiener_integrals) share one zero search per scan grid, and one
+loop evaluates each distinct panel of their trees once per step.  eval_f
+and _phase_product are one kernel (_products) whose row bits do not depend
+on the other rows in its call, so every shared result is bit-equal to a
+call of its own.
 
 Convergence is returned, not warned: a bracket still open at a refinement
 step cap, or a panel still open at the quadrature level cap, makes the
@@ -140,9 +142,9 @@ def _row_blocks(count: int, width: int) -> list[slice]:
     numpy multiplies a one-row table by other kernels than a taller one, with
     other last bits, so no block but a whole one-row table has one row: a
     lone trailing row joins the block before it, and a block has at least two
-    rows.  eval_f and _phase_product run a one-row table as two equal rows and
-    keep the first, so a row's bits do not depend on the other rows in its
-    call.
+    rows.  _products, the one kernel of eval_f and _phase_product, runs a
+    one-row table as two equal rows and keeps the first, so a row's bits do
+    not depend on the other rows in its call.
     """
     rows = max(2, _BLOCK_ENTRIES // width)
     edges = [*range(0, count, rows), count]
@@ -151,24 +153,28 @@ def _row_blocks(count: int, width: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def eval_f(sig: TrigSignal, t):
-    """Evaluate the sum at a scalar or array of times, in _row_blocks of phases.
+def _products(t: np.ndarray, freqs: np.ndarray, amps, right: np.ndarray) -> np.ndarray:
+    """_phases(t, freqs, amps) @ right, one _row_blocks block of phase rows at a time.
 
-    A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.  A
-    one-row call (a scalar, a lone Newton iterate) multiplies its phase row
-    repeated twice and keeps the first result, so a point's bits do not
-    depend on its call (see _row_blocks).
+    One time runs as two equal times and keeps the first row, so a row's bits
+    do not depend on its call (see _row_blocks).
+    """
+    if t.size == 1:
+        return _products(np.repeat(t, 2), freqs, amps, right)[:1]
+    out = np.empty((t.size,) + right.shape[1:], dtype=complex)
+    for rows in _row_blocks(t.size, freqs.size):
+        out[rows] = _phases(t[rows], freqs, amps) @ right
+    return out
+
+
+def eval_f(sig: TrigSignal, t):
+    """Evaluate the sum at a scalar or array of times: _products of phases and amps.
+
+    A _Jet in place of sig gives f, f' and f'' in a trailing axis of 3.
     """
     t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.ravel()
-    vals = np.empty((flat.size,) + sig.amps.shape[1:], dtype=complex)
-    for rows in _row_blocks(flat.size, sig.count):
-        table = _phases(flat[rows], sig.freqs)
-        if len(table) == 1:
-            table = np.repeat(table, 2, axis=0)
-        vals[rows] = (table @ sig.amps)[: rows.stop - rows.start]
-        del table  # the next block's phases are built without this one
-    out = vals.reshape(t_arr.shape + sig.amps.shape[1:])
+    out = _products(t_arr.ravel(), sig.freqs, None, sig.amps)
+    out = out.reshape(t_arr.shape + sig.amps.shape[1:])
     return complex(out) if out.ndim == 0 else out
 
 
@@ -232,17 +238,9 @@ def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> 
     e^{-i omega (s + o)} = e^{-i omega s} e^{-i omega o}, so the table is
     (amps * e^{-i omega s}) (rows, N) @ e^{-i omega o} (N, offsets): (rows +
     offsets) N exponentials and one product per _row_blocks block of start
-    phases, 4 MiB at most.  Its error is bounded by _scan_rounding.  One start
-    runs as two equal starts, the first row kept, so a row's bits do not
-    depend on its call (see _row_blocks).
+    phases, 4 MiB at most (_products).  Its error is bounded by _scan_rounding.
     """
-    if starts.size == 1:
-        return _phase_product(sig, np.repeat(starts, 2), offsets)[:1]
-    inner = _phases(sig.freqs, offsets)
-    table = np.empty((starts.size, offsets.size), dtype=complex)
-    for rows in _row_blocks(starts.size, sig.count):
-        table[rows] = _phases(starts[rows], sig.freqs, sig.amps) @ inner
-    return table
+    return _products(starts, sig.freqs, sig.amps, _phases(sig.freqs, offsets))
 
 
 def _scan(sig: TrigSignal, window: float, base_grid: int):
@@ -275,16 +273,24 @@ def _chord_distance(f: np.ndarray) -> np.ndarray:
     return np.abs(a + np.clip(s, 0.0, 1.0) * d)
 
 
-def _extremum_centres(v: np.ndarray, keep, cell_ok: np.ndarray) -> np.ndarray:
-    """Grid minima i of v with keep[i] and cell_ok on cell i - 1 or cell i.
+def _extremum_centres(v: np.ndarray) -> np.ndarray:
+    """Grid minima i of v, the window ends counted as one-sided minima.
 
     This is the one rule that turns grid extrema into refinement brackets
-    [t_{i-1}, t_{i+1}]: cell k joins nodes k and k + 1, and the window ends
-    count as one-sided minima whose bracket covers the one cell beside them.
+    [t_{i-1}, t_{i+1}]; an end's bracket covers the one cell beside it.
     """
     pad = np.pad(v, 1, constant_values=np.inf)
-    cell = np.pad(cell_ok, 1)
-    return np.flatnonzero((v <= pad[:-2]) & (v <= pad[2:]) & keep & (cell[:-1] | cell[1:]))
+    return np.flatnonzero((v <= pad[:-2]) & (v <= pad[2:]))
+
+
+def _beside(cell_ok: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Whether cell_ok holds on cell at - 1 or cell at, beside each node at, per row.
+
+    Cell k joins nodes k and k + 1; a window end has the one cell beside it.
+    """
+    n = cell_ok.shape[-1]
+    left = cell_ok[..., np.maximum(at - 1, 0)] & (at > 0)
+    return left | (cell_ok[..., np.minimum(at, n - 1)] & (at < n))
 
 
 def _open(lo, hi) -> np.ndarray:
@@ -400,26 +406,27 @@ def sublevel_measures(
 ) -> list[MeasureReport]:
     """Measures of {t in [0, window] : |f(t)| < eps}, one report per eps in order.
 
-    One uniform scan serves every threshold.  Its sign changes of |f| - eps
-    are refined by safeguarded Newton on |f| - eps to sign-change brackets of
-    at most 1e-12 in t, in one _crossings call for all thresholds: each
-    bracket carries its own eps, and a report's refinement_depth is the step
-    after which its last bracket closed.  A grid minimum
-    above eps is promoted to extremum refinement (Newton on d|f|^2/dt) when a
-    chord next to it comes within the screen of eps, and a grid maximum below
-    eps when it lies within the screen of eps (|chord| is convex, so its cell
-    maxima sit at nodes).  This is the bracket rule of find_zeros too
-    (_extremum_centres): the window ends count as one-sided extrema, and their
-    brackets cover the one cell beside them.  One _extrema call refines the
-    union of these brackets over all thresholds, each keyed by its centre node
-    and sign.  The measure sums the intervals between sorted crossings whose
-    crossing bracket starts inside the set.  The error bound is the cell width
-    times the count of cells that passed the chord screen but produced no
-    refined feature.  A report is not converged when one of its crossing or
-    extremum brackets is still open at its refinement step cap.  A threshold
-    at or above sum|c_j| warns and gets the whole window; when every threshold
-    does, nothing is scanned.  _stacklevel points the warning at the caller's
-    line.
+    One uniform scan serves every threshold, and its masks hold one row per
+    threshold.  Its sign changes of |f| - eps are refined by safeguarded
+    Newton on |f| - eps to sign-change brackets of at most 1e-12 in t, in
+    one _crossings call for all thresholds: each bracket carries its own
+    eps, and a report's refinement_depth is the step after which its last
+    bracket closed.  A grid minimum above eps is promoted to extremum
+    refinement (Newton on d|f|^2/dt) when a chord next to it comes within
+    the screen of eps, and a grid maximum below eps when it lies within the
+    screen of eps (|chord| is convex, so its cell maxima sit at nodes).
+    This is the bracket rule of find_zeros too (_extremum_centres and
+    _beside): the window ends count as one-sided extrema, and their brackets
+    cover the one cell beside them.  The grid extrema do not depend on eps,
+    so one _extrema call refines those that some threshold needs.  The
+    measure sums the intervals between sorted crossings whose crossing
+    bracket starts inside the set.  The error bound is the cell width times
+    the count of cells that passed the chord screen but produced no refined
+    feature.  A report is not converged when one of its crossing or extremum
+    brackets is still open at its refinement step cap.  A threshold at or
+    above sum|c_j| warns and gets the whole window; when every threshold
+    does, nothing is scanned.  _stacklevel points the warning at the
+    caller's line.
     """
     if any(not eps > 0.0 for eps in epsilons):
         raise PhysicsError("epsilon must be positive")
@@ -437,76 +444,71 @@ def sublevel_measures(
     if not todo:
         return reports
 
+    window = float(window)
     ts, fs, screen = _scan(sig, window, base_grid)
     n = ts.size - 1
-    h = float(window) / n
+    h = window / n
     absf = np.abs(fs)
     floor = _chord_distance(fs) - screen
     peak = np.maximum(absf[:-1], absf[1:])
-    levels, keys = [], []
-    for eps in [epsilons[k] for k in todo]:
-        below = absf < eps
-        # Cells on which |f| may pass below eps, or reach it.
-        may_dip, may_rise = floor < eps, eps - peak < screen
-        dips = _extremum_centres(absf, absf > eps, may_dip)
-        rises = _extremum_centres(-absf, below, may_rise)
-        levels.append((eps, below, may_dip, may_rise))
-        keys.append(np.concatenate([2 * dips, 2 * rises + 1]))
-    # Key 2i is a dip (sign +1) centred on node i, 2i + 1 a rise (sign -1).
-    union, member = np.unique(np.concatenate(keys), return_inverse=True)
-    centre, sign = union // 2, 1.0 - 2.0 * (union % 2)
+    # One row per threshold: nodes below it, cells on which |f| may pass below
+    # it or reach it.  Each eps - peak row is formed alone, as a float temporary.
+    eps = np.array([epsilons[k] for k in todo], dtype=float)[:, None]
+    below, may_dip = absf < eps, floor < eps
+    may_rise = np.empty_like(may_dip)
+    for row, level in zip(may_rise, eps):
+        np.less(level - peak, screen, out=row)
+
+    # Grid minima (dips) and maxima (rises) of |f| that some threshold needs refined.
+    mins, maxs = _extremum_centres(absf), _extremum_centres(-absf)
+    dips = (absf[mins] > eps) & _beside(may_dip, mins)
+    needs = np.concatenate([dips, below[:, maxs] & _beside(may_rise, maxs)], axis=1)
+    centre, sign = np.concatenate([mins, maxs]), np.repeat([1.0, -1.0], [mins.size, maxs.size])
+    wanted = needs.any(0)
+    needs, centre, sign = needs[:, wanted], centre[wanted], sign[wanted]
     # The bracket [ts[lo], ts[hi]] covers cells lo and hi - 1.
     lo, hi = np.maximum(centre - 1, 0), np.minimum(centre + 1, n)
     best_t, best_v, ext_open = _extrema(sig, ts[lo], ts[hi], sign)
-    uses = np.split(member, np.cumsum([key.size for key in keys])[:-1])
 
-    features, starts, ends, insides = [], [], [], []
-    for (eps, below, *_), used in zip(levels, uses):
-        # |f| - eps at each minimizer; a bracket hits eps where sign * that is negative.
-        g_ext = sign[used] * best_v[used] - eps
-        hit = sign[used] * g_ext < 0.0
-        ext_lo, ext_hi, t_ext, g_ext = lo[used][hit], hi[used][hit], best_t[used][hit], g_ext[hit]
-        cross = np.nonzero(below[:-1] != below[1:])[0]
-        features.append((cross, ext_lo, ext_hi))
-        starts.append(np.concatenate([ts[cross], ts[ext_lo], t_ext]))
-        ends.append(np.concatenate([ts[cross + 1], t_ext, ts[ext_hi]]))
-        # The right half of a split extremum starts at t_ext: inside for a dip.
-        insides.append(np.concatenate([below[cross], below[ext_lo], g_ext < 0.0]))
-    # One _crossings call refines the crossing brackets of every threshold.
-    sizes = [inside.size for inside in insides]
-    mids, closed_at, still_open = _crossings(
-        sig,
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(insides),
-        np.repeat([eps for eps, *_ in levels], sizes),
-    )
+    # |f| - eps at each minimizer; a bracket hits eps where sign * that is negative.
+    g_ext = sign * best_v - eps
+    # (row, column) of each hit, row by row; np.nonzero is about ten times
+    # slower on a 2-D mask.
+    ext_row, ext = np.divmod(np.flatnonzero(needs & (sign * g_ext < 0.0)), centre.size)
+    ext_lo, ext_hi, t_ext, g_ext = lo[ext], hi[ext], best_t[ext], g_ext[ext_row, ext]
+    cross_row, cross = np.divmod(np.flatnonzero(below[:, :-1] != below[:, 1:]), n)
+    # One _crossings call refines the crossing brackets of every threshold: the
+    # grid crossings, then the left and right halves of each split extremum.
+    # The right half starts at t_ext: inside for a dip.
+    owner = np.concatenate([cross_row, ext_row, ext_row])
+    starts = np.concatenate([ts[cross], ts[ext_lo], t_ext])
+    ends = np.concatenate([ts[cross + 1], t_ext, ts[ext_hi]])
+    inside_lo = np.concatenate([below[cross_row, cross], below[ext_row, ext_lo], g_ext < 0.0])
+    mids, closed_at, still_open = _crossings(sig, starts, ends, inside_lo, eps[owner, 0])
     unclosed = np.zeros(mids.size, dtype=bool)
     unclosed[still_open] = True
-    bounds = np.cumsum([0, *sizes])
 
-    for k, level, used, (cross, ext_lo, ext_hi), inside_lo, first, stop in zip(
-        todo, levels, uses, features, insides, bounds, bounds[1:]
-    ):
-        eps, below, may_dip, may_rise = level
-        crossings = mids[first:stop]
+    for row, k in enumerate(todo):
+        mine = owner == row
+        crossings = mids[mine]
         # The step after which its last crossing bracket closed, as in a call of its own.
-        depth = int(np.max(closed_at[first:stop], initial=0))
+        depth = int(np.max(closed_at[mine], initial=0))
         refined = np.zeros(n, dtype=bool)
-        refined[cross] = refined[ext_lo] = refined[ext_hi - 1] = True
+        hits = ext_row == row
+        refined[cross[cross_row == row]] = refined[ext_lo[hits]] = refined[ext_hi[hits] - 1] = True
 
         # The brackets are disjoint, so the interval before each sorted crossing
         # lies on its bracket's left side, and the last one on the window end's.
         order = np.argsort(crossings)
-        edges = np.concatenate([[0.0], crossings[order], [float(window)]])
-        inside = np.append(inside_lo[order], below[-1])
-        measure = min(float(np.sum(np.diff(edges)[inside])), float(window))
+        edges = np.concatenate([[0.0], crossings[order], [window]])
+        inside = np.append(inside_lo[mine][order], below[row, -1])
+        measure = min(float(np.sum(np.diff(edges)[inside])), window)
 
-        same_sign = below[:-1] == below[1:]
-        suspicious = int(np.sum(same_sign & np.where(below[:-1], may_rise, may_dip) & ~refined))
-        error_bound = h * suspicious + BISECTION_TOL * crossings.size
-        converged = not unclosed[first:stop].any() and not np.isin(used, ext_open).any()
-        reports[k] = MeasureReport(eps, float(window), measure, depth, error_bound, converged)
+        same_sign = below[row, :-1] == below[row, 1:]
+        may = np.where(below[row, :-1], may_rise[row], may_dip[row])
+        error_bound = h * int(np.sum(same_sign & may & ~refined)) + BISECTION_TOL * crossings.size
+        converged = not unclosed[mine].any() and not needs[row, ext_open].any()
+        reports[k] = MeasureReport(epsilons[k], window, measure, depth, error_bound, converged)
     return reports
 
 
@@ -547,7 +549,8 @@ def _zeros(sig: TrigSignal, window: float, base_grid: int):
     _check_search(sig, window)
     zero_level = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
-    centre = _extremum_centres(np.abs(fs), True, _chord_distance(fs) - screen <= zero_level)
+    centre = _extremum_centres(np.abs(fs))
+    centre = centre[_beside(_chord_distance(fs) - screen <= zero_level, centre)]
     lo, hi = np.maximum(centre - 1, 0), np.minimum(centre + 1, ts.size - 1)
     t_min, f_min, still_open = _extrema(sig, ts[lo], ts[hi], np.ones(lo.size))
     zeros = np.sort(np.clip(t_min[f_min <= zero_level], 0.0, float(window))).tolist()
@@ -648,13 +651,16 @@ def paley_wiener_integrals(
 
     The counts share their work, and each report is bit-equal to a call with
     its count alone.  Counts whose scans have one cell count share one zero
-    search.  One loop advances every count's tree: at each step the distinct
-    open panels (a, b, zero_a, zero_b), by their exact bits, go through
-    _panel_rules once, in _PANEL_BLOCK blocks, and each tree accepts or
-    halves its own.  A panel's rules do not depend on the other panels in
-    the call (_row_blocks).  A count 2^k times the smallest starts k steps
-    later, so that its panels meet the halves of the coarser tree.  Only the
-    current step's panels are held.
+    search.  Each count holds its open panels (a, b, zero_a, zero_b), its
+    running total and the halves left open at its last level, and one loop
+    advances every tree: at each step the distinct open panels of the live
+    counts, by their exact bits, go through _panel_rules once, in
+    _PANEL_BLOCK blocks, and each tree accepts or halves its own.  A panel's
+    rules do not depend on the other panels in the call (_row_blocks).  A
+    count 2^k times the smallest starts k steps later, so that its panels
+    meet the halves of the coarser tree, and it is live for _MAX_LEVELS
+    steps while it has open panels.  Only the current step's panels are
+    held.
 
     Finiteness of the absolute version is the numerical signature that
     membership times form a measure-zero set.
@@ -665,49 +671,45 @@ def paley_wiener_integrals(
     window = float(window)
     _check_search(sig, window)
     searches = {}  # scan cell count -> (zeros, open bracket count)
-    trees, starts, zeros_open = [], [], []
+    rows, starts, zeros_open = [], [], []
     for p in counts:
         base = max(1000, 4 * p)
         cells = _cell_count(sig, window, base)
         if cells not in searches:
             searches[cells] = _zeros(sig, window, base)
         zeros, still_open = searches[cells]
-        trees.append(_panel_tree(_first_panels(window, p, zeros)))
+        rows.append(_first_panels(window, p, zeros))
         starts.append((p // min(counts)).bit_length() - 1)
         zeros_open.append(still_open)
 
-    results = [None] * len(trees)
-    asks = [None] * len(trees)  # the panels each tree waits to have evaluated
-
-    def advance(k, est):
-        try:
-            asks[k] = trees[k].send(est)
-        except StopIteration as stop:
-            asks[k], results[k] = None, stop.value
-
-    step = 0
-    while None in results:
-        for k, start in enumerate(starts):
-            if start == step:
-                advance(k, None)
-        live = [k for k, rows in enumerate(asks) if rows is not None]
-        if live:
-            rows = np.concatenate([asks[k] for k in live])
-            # Each row's 32 bytes as one key: equal keys are equal bits.
-            keys = rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            distinct = distinct.view(float).reshape(-1, 4)
-            est = np.concatenate([
-                _panel_rules(sig, distinct[s:s + _PANEL_BLOCK], absolute)
-                for s in range(0, len(distinct), _PANEL_BLOCK)
-            ])
-            parts = np.cumsum([len(asks[k]) for k in live])[:-1]
-            for k, part in zip(live, np.split(inverse, parts)):
-                advance(k, est[part])
-        step += 1
+    totals, pending = [0.0] * len(counts), [np.zeros(0)] * len(counts)
+    for step in range(max(starts) + _MAX_LEVELS):
+        live = [k for k, at in enumerate(starts) if 0 <= step - at < _MAX_LEVELS and rows[k].size]
+        if not live:
+            continue
+        asked = np.concatenate([rows[k] for k in live])
+        # Each row's 32 bytes as one key: equal keys are equal bits.
+        keys = asked.view(np.dtype((np.void, asked.itemsize * 4))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct = distinct.view(float).reshape(-1, 4)
+        est = np.concatenate([
+            _panel_rules(sig, distinct[s:s + _PANEL_BLOCK], absolute)
+            for s in range(0, len(distinct), _PANEL_BLOCK)
+        ])[inverse]
+        parts = np.cumsum([len(rows[k]) for k in live])[:-1]
+        for k, part in zip(live, np.split(est, parts)):
+            halves = part[:, 1] + part[:, 2]
+            done = np.abs(part[:, 0] - halves) <= PANEL_TOL
+            totals[k] += float(np.sum(halves[done]))
+            pending[k] = halves[~done]
+            a, b, zero_a, zero_b = rows[k][~done].T
+            mid, none = a + 0.5 * (b - a), np.zeros_like(a)
+            left, right = [a, mid, zero_a, none], [mid, b, none, zero_b]
+            rows[k] = np.concatenate([np.column_stack(left), np.column_stack(right)])
+    # Panels still open at the level cap keep their halves' sum.
     return [
-        PaleyWienerReport(total / window, still_open == 0 and closed)
-        for (total, closed), still_open in zip(results, zeros_open)
+        PaleyWienerReport((total + float(np.sum(held))) / window, still_open == 0 and not tree.size)
+        for total, held, tree, still_open in zip(totals, pending, rows, zeros_open)
     ]
 
 
@@ -723,30 +725,6 @@ def _first_panels(window: float, panels: int, zeros) -> np.ndarray:
     edges = np.union1d(grid, zeros)
     on_zero = np.isin(edges, zeros).astype(float)
     return np.column_stack([edges[:-1], edges[1:], on_zero[:-1], on_zero[1:]])
-
-
-def _panel_tree(rows: np.ndarray):
-    """One adaptive quadrature tree as a generator: the caller drives its levels.
-
-    Each level yields the open panels and is sent their _panel_rules rows.
-    Returns the integral over the window and whether every panel closed.
-    """
-    total, pending = 0.0, np.zeros(0)
-    for _ in range(_MAX_LEVELS):
-        if rows.size == 0:
-            break
-        est = yield rows
-        halves = est[:, 1] + est[:, 2]
-        done = np.abs(est[:, 0] - halves) <= PANEL_TOL
-        total += float(np.sum(halves[done]))
-        pending = halves[~done]
-        a, b, zero_a, zero_b = rows[~done].T
-        mid, none = a + 0.5 * (b - a), np.zeros_like(a)
-        left, right = [a, mid, zero_a, none], [mid, b, none, zero_b]
-        rows = np.concatenate([np.column_stack(left), np.column_stack(right)])
-    # Panels still open at the level cap keep their halves' sum.
-    total += float(np.sum(pending))
-    return total, rows.size == 0
 
 
 def _convergent_within(x: float, tol_abs: float, max_den: int) -> tuple[int, int, float]:

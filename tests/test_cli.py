@@ -421,22 +421,24 @@ class TestDeterminism:
         assert got == digests
 
     @pytest.mark.parametrize(
-        "spec, args",
+        "problem, args",
         [
             (None, ["--seed", "7", "--grid", "256"]),
-            (build_spectrum("box", 16), ["--grid", "512"]),
+            ((build_spectrum("box", 16),), ["--grid", "512"]),
             (None, ["--grid", "1200", "--eps", "0.1", "--eps", "0.01", "--eps", "1e-6"]),
+            # A loaded state outside the zero-sum subspace: both project it.
+            ((build_spectrum("harmonic", 8), random_state(8, 7)), []),
         ],
-        ids=["harmonic8", "box16", "three-eps"],
+        ids=["harmonic8", "box16", "three-eps", "not-zero-sum"],
     )
-    def test_zeroset_writes_the_numbers_of_claim_iii(self, tmp_path, spec, args):
+    def test_zeroset_writes_the_numbers_of_claim_iii(self, tmp_path, problem, args):
         # zeroset writes claim (iii)'s ladder and Paley-Wiener pair without its
         # verdict, so every number it writes is a number of claims.json.
         argv = [*args]
-        if spec is not None:
-            problem = tmp_path / "problem.json"
-            serialize.dump_problem(problem, spec)
-            argv += ["-i", str(problem)]
+        if problem is not None:
+            path = tmp_path / "problem.json"
+            serialize.dump_problem(path, *problem)
+            argv += ["-i", str(path)]
         out = tmp_path / "out"
         assert main(["claims", *argv, "-o", str(out)]) == EXIT_OK
         assert main(["zeroset", *argv, "-o", str(out)]) == EXIT_OK

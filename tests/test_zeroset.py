@@ -33,9 +33,10 @@ from timeobs import (
     sublevel_measures,
 )
 from timeobs import zeroset
-from timeobs.claims import run_claims
+from timeobs.claims import DEFAULT_EPSILONS, run_claims
 from timeobs.zeroset import (
     BISECTION_TOL,
+    _beside,
     _chord_distance,
     _crossings,
     _extrema,
@@ -541,6 +542,21 @@ class TestSublevelLadder:
         assert [r.epsilon for r in ladder] == epsilons
         assert [_report_bits(r) for r in ladder] == [_report_bits(r) for r in single]
 
+    def test_ladder_memory_of_claim_iii_on_box64(self):
+        # Claim (iii)'s ladder at box N = 64 over window 30 (about 400 k cells):
+        # its masks hold one boolean row per threshold, and each float
+        # temporary of eps - peak is formed one row at a time.  32.96 MiB
+        # measured; forming every eps - peak row at once read 46.6 MiB.
+        sig = _structured_signal("box", 64, 7, True)
+        epsilons = [*DEFAULT_EPSILONS, 1e-6 * sig.weight()]
+        tracemalloc.start()
+        try:
+            sublevel_measures(sig, epsilons, 30.0, base_grid=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 32.96 * 2**20
+
     def test_threshold_above_maximum_warns_for_that_threshold_only(self, monkeypatch, balanced_signal):
         w = balanced_signal.weight()
         with pytest.warns(UserWarning, match="threshold at or above max") as caught:
@@ -660,25 +676,33 @@ class TestExtremumCentres:
             lambda n: st.tuples(
                 st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1),
                 st.lists(st.booleans(), min_size=n + 1, max_size=n + 1),
-                st.lists(st.booleans(), min_size=n, max_size=n),
+                st.lists(
+                    st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=4
+                ),
             )
         )
     )
     def test_matches_a_loop_over_the_nodes(self, cells):
-        values, keep, cell_ok = cells
+        values, keep, cell_rows = cells
         last = len(values) - 1
-        expected = []
-        for i, v in enumerate(values):
-            # A window end has one neighbour and one cell.
-            left = values[i - 1] if i > 0 else math.inf
-            right = values[i + 1] if i < last else math.inf
-            beside = (i > 0 and cell_ok[i - 1]) or (i < last and cell_ok[i])
-            if v <= left and v <= right and keep[i] and beside:
-                expected.append(i)
-        v, keep, cell_ok = np.array(values, dtype=float), np.array(keep), np.array(cell_ok)
-        assert _extremum_centres(v, keep, cell_ok).tolist() == expected
-        every = _extremum_centres(v, True, cell_ok).tolist()
-        assert every == _extremum_centres(v, np.ones(v.size, dtype=bool), cell_ok).tolist()
+        v, keep = np.array(values, dtype=float), np.array(keep)
+        at = _extremum_centres(v)
+        for cell_ok in cell_rows:
+            expected = []
+            for i, value in enumerate(values):
+                # A window end has one neighbour and one cell.
+                left = values[i - 1] if i > 0 else math.inf
+                right = values[i + 1] if i < last else math.inf
+                beside = (i > 0 and cell_ok[i - 1]) or (i < last and cell_ok[i])
+                if value <= left and value <= right and keep[i] and beside:
+                    expected.append(i)
+            assert at[keep[at] & _beside(np.array(cell_ok), at)].tolist() == expected
+        # A 2-D cell_ok holds one row per threshold: each row is its 1-D call.
+        rows = np.array(cell_rows)
+        got = _beside(rows, at)
+        assert got.shape == (len(rows), at.size)
+        for row, cell_ok in zip(got, rows):
+            np.testing.assert_array_equal(row, _beside(cell_ok, at))
 
 
 class TestLockstepRefiners:
@@ -724,7 +748,9 @@ class TestLockstepRefiners:
 
         inner, cells = np.ones(absf.size, dtype=bool), np.ones(absf.size - 1, dtype=bool)
         inner[[0, -1]] = False  # interior brackets only
-        dips, rises = _extremum_centres(absf, inner, cells), _extremum_centres(-absf, inner, cells)
+        dips, rises = (
+            c[inner[c] & _beside(cells, c)] for c in map(_extremum_centres, (absf, -absf))
+        )
         ext = np.concatenate([dips, rises])
         sign = np.concatenate([np.ones(dips.size), -np.ones(rises.size)])
         t_ext, v_ext, still_open = _extrema(sig, ts[ext - 1], ts[ext + 1], sign)

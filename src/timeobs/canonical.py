@@ -25,10 +25,10 @@ def normalized_gamma(amplitudes) -> float:
 class CanonicalDensity:
     """Amplitudes and normalization for the canonical time density.
 
-    gamma defaults to sum |c_j|^2 (= 1 for unit states), the unique choice
-    making a unit-norm state time-average to unit density.  p is a density
-    with respect to that long-time mean, not a probability over any finite
-    interval.
+    gamma defaults to 1.0; from_state sets it to normalized_gamma, sum
+    |c_j|^2 (= 1 for unit states), the unique choice making the density
+    time-average to 1.  p is a density with respect to that long-time mean,
+    not a probability over any finite interval.
     """
 
     spectrum: EnergySpectrum

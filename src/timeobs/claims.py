@@ -5,7 +5,9 @@ spectral norm, so they cannot track unbounded elapsed time, while the
 canonical density obeys the shift law exactly.  (2) The zero-sum subspace is
 not invariant under evolution.  (3) The times at which an evolved state
 re-enters the subspace form a set whose sublevel measure collapses with the
-threshold, with a finite mean |log|f|| backing the measure-zero signature.
+threshold, with a finite mean log|f| backing the measure-zero signature:
+log|f| <= log sum|c_j|, so the mean |log|f|| is finite exactly when the mean
+log|f| is above -infinity (the Paley-Wiener/Jensen condition).
 """
 
 from __future__ import annotations
@@ -114,12 +116,13 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
 
     The eps ladder runs on max(1000, grid) cells, over the distinct epsilons
     in descending order and then the tail threshold 1e-6 sum|c_j|, in one
-    sublevel_measures call.  The mean |log|f|| is taken at grid // 4 (at
-    least 100) panels and at twice that, in one paley_wiener_integrals call
-    that shares the pair's zero search and common panels; it is stable when
-    the relative change between the two is within PW_STABILITY_TOL and both
-    integrals converged.  Returns the claim record and the MeasureReport of
-    each of the distinct epsilons.
+    sublevel_measures call.  The mean log|f| (absolute=False, which has no
+    kinks where |f| = 1) is taken at grid // 4 (at least 100) panels and at
+    twice that, in one paley_wiener_integrals call that shares the pair's
+    zero search and common panels; it is stable when the relative change
+    between the two and the finer one's error_estimate relative to its value
+    are both within PW_STABILITY_TOL and both integrals converged.  Returns
+    the claim record and the MeasureReport of each of the distinct epsilons.
     """
     sig = TrigSignal.from_state(spectrum, _zero_sum(state))
     window = float(tau_max)
@@ -130,9 +133,14 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
     refined = tail.converged and all(report.converged for report in reports)
 
     panels = max(100, int(grid) // 4)
-    coarse, fine = paley_wiener_integrals(sig, window, [panels, 2 * panels])
+    coarse, fine = paley_wiener_integrals(sig, window, [panels, 2 * panels], absolute=False)
     rel_change = abs(fine.value - coarse.value) / max(abs(fine.value), 1e-300)
-    converged = rel_change <= PW_STABILITY_TOL and coarse.converged and fine.converged
+    converged = (
+        rel_change <= PW_STABILITY_TOL
+        and fine.error_estimate <= PW_STABILITY_TOL * abs(fine.value)
+        and coarse.converged
+        and fine.converged
+    )
     record = {
         "demonstrated": bool(tail_fraction <= MEASURE_FRACTION_LIMIT and refined and converged),
         "window": window,
@@ -143,6 +151,7 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
         "paley_wiener_value": fine.value,
         "paley_wiener_panels": 2 * panels,
         "paley_wiener_relative_change": rel_change,
+        "paley_wiener_error_estimate": fine.error_estimate,
         "paley_wiener_converged": converged,
     }
     return record, reports

@@ -2,11 +2,11 @@
 
 Commands: tg (time-operator matrix + commutator diagnostics), canonical
 (density samples + covariance record), cauchy (convergence ladder), zeroset
-(claim (iii) without its verdict: sublevel-measure scaling + mean-log
-record), claims (full demonstration suite).  Exit codes: 0 success, 2
-unreadable/malformed input or an invalid option (such as a cauchy ladder with
-no rung), 3 physics precondition violation (including a non-finite level,
-hbar or state coefficient).
+(claim (iii) without its verdict: sublevel-measure scaling + the mean
+log|f| record with its error estimate), claims (full demonstration suite).
+Exit codes: 0 success, 2 unreadable/malformed input or an invalid option
+(such as a cauchy ladder with no rung), 3 physics precondition violation
+(including a non-finite level, hbar or state coefficient).
 """
 
 from __future__ import annotations
@@ -220,7 +220,11 @@ def _cmd_cauchy(config: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
-    """Claim (iii)'s eps ladder and Paley-Wiener record, without its verdict."""
+    """Claim (iii)'s eps ladder and Paley-Wiener record, without its verdict.
+
+    paley_wiener.json holds the mean log|f| on the finer panel count: its
+    panels, value, converged flag and error estimate, and the window.
+    """
     spectrum, state = _load_problem(config, need_state=True, in_zero_sum=True)
     claim, reports = claims_mod.claim_iii(
         spectrum, state, config.grid, config.tau_max, config.epsilons
@@ -230,7 +234,8 @@ def _cmd_zeroset(config: RunConfig, out_dir: Path) -> None:
         ("epsilon", "measure", "error_bound", "converged"),
         [(r.epsilon, r.measure, r.error_bound, r.converged) for r in reports],
     )
-    record = {key: claim[f"paley_wiener_{key}"] for key in ("panels", "value", "converged")}
+    keys = ("panels", "value", "converged", "error_estimate")
+    record = {key: claim[f"paley_wiener_{key}"] for key in keys}
     record["window"] = claim["window"]
     serialize.write_json(out_dir / "paley_wiener.json", record)
     print(f"wrote {out_dir / 'measure_scaling.csv'} and {out_dir / 'paley_wiener.json'}")

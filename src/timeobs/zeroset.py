@@ -3,9 +3,10 @@
 f(t) = sum_j c_j e^{-i omega_j t} vanishes exactly at the times when the
 evolved state re-enters the zero-sum subspace.  This module evaluates f,
 estimates the Lebesgue measure of sublevel sets {t : |f(t)| < eps} over a
-window, computes mean |log|f|| integrals (finite for any nontrivial signal,
-which is what forces the zero set to have measure zero), and constructs
-commensurate (periodic) approximants with a guaranteed sup-norm bound.
+window, computes mean log|f| and |log|f|| integrals (finite for any
+nontrivial signal, which is what forces the zero set to have measure zero)
+with an error estimate, and constructs commensurate (periodic) approximants
+with a guaranteed sup-norm bound.
 
 Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
 The scan evaluates f on a uniform grid as one product of two phase tables.
@@ -22,10 +23,11 @@ threshold, so it shares one scan, one refinement of the extremum brackets
 that any row needs and one lockstep refinement of every row's crossings.
 The mean-log integral is lockstep adaptive Gauss-Legendre quadrature with
 the zeros as panel edges and each zero's log singularity integrated in
-closed form.  Its nodes share the scan's phase-table product: the panels of
-one width sample f at the same offsets from their left ends.  Several panel
-counts (paley_wiener_integrals) share one zero search per scan grid, and one
-loop evaluates each distinct panel of their trees once per step.  eval_f
+closed form, and a panel's tolerance is its share of the window.  Its nodes
+share the scan's phase-table product: the panels of one width sample f at
+the same offsets from their left ends.  Several panel counts
+(paley_wiener_integrals) share one zero search per scan grid, and one loop
+evaluates each distinct panel of their trees once per step.  eval_f
 and _phase_product are one kernel (_products) whose row bits do not depend
 on the other rows in its call, so every shared result is bit-equal to a
 call of its own.
@@ -615,14 +617,16 @@ def _panel_rules(sig: TrigSignal, rows: np.ndarray, absolute: bool) -> np.ndarra
 
 @dataclass(frozen=True)
 class PaleyWienerReport:
-    """Window-averaged mean-log integral and whether it converged.
+    """Window-averaged mean-log integral, whether it converged and its error estimate.
 
     converged is false when a panel was still open at the level cap or a
-    zero-search bracket at its step cap.
+    zero-search bracket at its step cap.  error_estimate is the window average
+    of |whole - halves| summed over every panel whose halves' sum was kept.
     """
 
     value: float
     converged: bool
+    error_estimate: float
 
 
 def paley_wiener_integral(
@@ -644,10 +648,14 @@ def paley_wiener_integrals(
     over p uniform panels plus the zeros of find_zeros (via _zeros, on
     max(1000, 4p) base cells) as edges, with each zero's log singularity
     integrated in closed form.  Each level evaluates every open panel and its
-    two halves; a panel is accepted when the two estimates agree to
-    PANEL_TOL and halved otherwise.  After 40 levels the open panels keep
-    their halves' sum.  A report is not converged when its level cap or its
-    zero search's step cap was hit.
+    two halves; a panel [a, b] is accepted, keeping its halves' sum, when
+    the two estimates agree to PANEL_TOL (b - a) / window, so the accepted
+    tolerances sum to PANEL_TOL over the window, or when it is no wider than
+    _merge_tol(window), the resolution of the zeros that may be its edges;
+    it is halved otherwise.  After 40 levels the open panels keep their
+    halves' sum.  error_estimate is the window average of |whole - halves|
+    summed over every panel whose halves' sum was kept.  A report is not
+    converged when its level cap or its zero search's step cap was hit.
 
     The counts share their work, and each report is bit-equal to a call with
     its count alone.  Counts whose scans have one cell count share one zero
@@ -662,8 +670,12 @@ def paley_wiener_integrals(
     steps while it has open panels.  Only the current step's panels are
     held.
 
-    Finiteness of the absolute version is the numerical signature that
-    membership times form a measure-zero set.
+    The signed mean is the kink-free one.  log|f| <= log sum|c_j|, so the
+    absolute mean is finite exactly when the signed mean is above -infinity
+    (the Paley-Wiener/Jensen condition), and either finite mean is the
+    numerical signature that membership times form a measure-zero set.
+    |log|f|| adds a kink wherever |f| = 1, which costs several times the
+    panel rows of log|f|.
     """
     counts = [int(p) for p in panel_counts]
     if any(p < 100 for p in counts):
@@ -682,7 +694,8 @@ def paley_wiener_integrals(
         starts.append((p // min(counts)).bit_length() - 1)
         zeros_open.append(still_open)
 
-    totals, pending = [0.0] * len(counts), [np.zeros(0)] * len(counts)
+    totals, errors = [0.0] * len(counts), [0.0] * len(counts)
+    pending = [(np.zeros(0), np.zeros(0))] * len(counts)
     for step in range(max(starts) + _MAX_LEVELS):
         live = [k for k, at in enumerate(starts) if 0 <= step - at < _MAX_LEVELS and rows[k].size]
         if not live:
@@ -699,17 +712,25 @@ def paley_wiener_integrals(
         parts = np.cumsum([len(rows[k]) for k in live])[:-1]
         for k, part in zip(live, np.split(est, parts)):
             halves = part[:, 1] + part[:, 2]
-            done = np.abs(part[:, 0] - halves) <= PANEL_TOL
+            gap = np.abs(part[:, 0] - halves)
+            width = rows[k][:, 1] - rows[k][:, 0]
+            done = (gap <= PANEL_TOL * width / window) | (width <= _merge_tol(window))
             totals[k] += float(np.sum(halves[done]))
-            pending[k] = halves[~done]
+            errors[k] += float(np.sum(gap[done]))
+            pending[k] = halves[~done], gap[~done]
             a, b, zero_a, zero_b = rows[k][~done].T
             mid, none = a + 0.5 * (b - a), np.zeros_like(a)
             left, right = [a, mid, zero_a, none], [mid, b, none, zero_b]
             rows[k] = np.concatenate([np.column_stack(left), np.column_stack(right)])
     # Panels still open at the level cap keep their halves' sum.
     return [
-        PaleyWienerReport((total + float(np.sum(held))) / window, still_open == 0 and not tree.size)
-        for total, held, tree, still_open in zip(totals, pending, rows, zeros_open)
+        PaleyWienerReport(
+            (total + float(np.sum(held))) / window,
+            still_open == 0 and not tree.size,
+            (error + float(np.sum(held_gap))) / window,
+        )
+        for total, error, (held, held_gap), tree, still_open
+        in zip(totals, errors, pending, rows, zeros_open)
     ]
 
 

@@ -387,28 +387,30 @@ class TestDeterminism:
                 None,
                 ["--seed", "7", "--grid", "256"],
                 {
-                    "claims.json": "61888f9d1760897d14223dfe5bdadd5531fe1f9a3f4dff1d3e8ed600ab613ffe",
+                    "claims.json": "9e059cacc00fb8877cd80e5cee87216586dcea9b44024aa91dbcd0a2489fcf34",
                     "measure_scaling.csv": "1efc5b6088faafc01b3cfdbaf1367de4293d1bcdfd9bc25bc08c16ccd1e1b194",
-                    "paley_wiener.json": "0743205d8fd464803cd279698637f81c9fac4f87bd3992a71db0bd76ecb1d8a9",
+                    "paley_wiener.json": "7516beac8a03469f7543d1fcaf5f16d1db4681fae8615114a8127b4b082f77f5",
                 },
             ),
             (
                 build_spectrum("box", 16),
                 ["--grid", "512"],
                 {
-                    "claims.json": "0b0bed6b8a3403c8362460faf787498610abc301460c90732bc9dea1e8590114",
+                    "claims.json": "0171a3c98783ecbc64d26687e49e14c678b3d845292a81a58a8406cbfd605e6b",
                     "measure_scaling.csv": "60f23c55f5436ad5f92a7848953c36436c51fe158410c95343968e1464c4d03b",
-                    "paley_wiener.json": "a1e3d0520745396b23306c36ad135d9e6242e471c949100da84a622d5d4fdd87",
+                    "paley_wiener.json": "7e0df7c880335e65e8188f2ffd324ce312ca6dd568792de6f0927c3f9a4386ad",
                 },
             ),
         ],
         ids=["harmonic8", "box16"],
     )
     def test_claims_and_zeroset_bytes_are_pinned(self, tmp_path, spec, args, digests):
-        # sha256 of the artifacts before the convergence flags moved from
-        # warnings into the returned reports; the default problem is harmonic
-        # N = 8.  claims.json holds spectral_norm, which comes from LAPACK's
-        # eigvalsh, so its digest is tied to that build.
+        # sha256 of the artifacts; measure_scaling.csv's from before the
+        # convergence flags moved from warnings into the returned reports, the
+        # other two from when claim (iii) moved to the signed mean log|f| with
+        # its error estimate.  The default problem is harmonic N = 8.
+        # claims.json holds spectral_norm, which comes from LAPACK's eigvalsh,
+        # so its digest is tied to that build.
         argv = [*args]
         if spec is not None:
             problem = tmp_path / "problem.json"
@@ -448,6 +450,7 @@ class TestDeterminism:
         assert record["value"] == claim["paley_wiener_value"]
         assert record["panels"] == claim["paley_wiener_panels"]
         assert record["converged"] is claim["paley_wiener_converged"]
+        assert record["error_estimate"] == claim["paley_wiener_error_estimate"]
         lines = (out / "measure_scaling.csv").read_text().splitlines()[1:]
         rows = [[float(x) for x in line.split(",")[:2]] for line in lines]
         assert [eps for eps, _ in rows] == claim["epsilons"]

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -32,8 +33,8 @@ from timeobs import (
     sublevel_measure,
     sublevel_measures,
 )
-from timeobs import zeroset
-from timeobs.claims import DEFAULT_EPSILONS, run_claims
+from timeobs import claims, zeroset
+from timeobs.claims import DEFAULT_EPSILONS, PW_STABILITY_TOL, run_claims
 from timeobs.zeroset import (
     BISECTION_TOL,
     _beside,
@@ -99,6 +100,16 @@ def _roots_of_p(sig):
     coeffs = np.zeros(powers[-1] + 1, dtype=complex)
     coeffs[powers] = sig.amps
     return coeffs[-1], np.roots(coeffs[::-1])
+
+
+def _jensen_mean(sig):
+    """Mean of log|f| over whole periods 2 pi, by Jensen's formula on the roots of P.
+
+    With f(t) = e^{-i freqs[0] t} P(e^{-it}), the mean of log|P| over |z| = 1
+    is log|c_lead| + sum_{|r|>1} log|r| (the Mahler measure of P).
+    """
+    lead, roots = _roots_of_p(sig)
+    return math.log(abs(lead)) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
 
 
 def _random_signal(seed, n):
@@ -1039,12 +1050,46 @@ class TestPaleyWiener:
         assert value == pytest.approx(2.0 * CATALAN / math.pi, abs=1e-12)
 
     def test_signed_mean_over_a_period_is_jensen_value(self, structured_signal):
-        # Jensen: the mean of log|P| over |z| = 1 is log|c_lead| + sum_{|r|>1} log|r|.
-        lead, roots = _roots_of_p(structured_signal)
-        mahler = math.log(abs(lead)) + float(np.sum(np.log(np.abs(roots[np.abs(roots) > 1.0]))))
         report = paley_wiener_integral(structured_signal, TWO_PI, 256, absolute=False)
         value = _converged(report).value
-        assert value == pytest.approx(mahler, abs=1e-10)
+        assert value == pytest.approx(_jensen_mean(structured_signal), abs=1e-10)
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    @pytest.mark.parametrize(
+        "kind, n", [("harmonic", 8), ("harmonic", 64), ("box", 4), ("box", 8), ("box", 16)]
+    )
+    def test_signed_mean_over_whole_periods_is_jensen_value(self, kind, n, seed, periods):
+        # Box N = 16 makes P of degree 255.
+        sig = _structured_signal(kind, n, seed, True)
+        report = paley_wiener_integral(sig, periods * TWO_PI, 256, absolute=False)
+        value = _converged(report).value
+        assert value == pytest.approx(_jensen_mean(sig), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_signed_mean_on_box_matches_a_fine_reference(self, monkeypatch, n):
+        # Claim (iii)'s problem: seed 7, window 10.  The reference takes 2^14
+        # panels at a per-panel tolerance of 1e-12 (b - a) / window; 1e-14 would
+        # take minutes on box N = 64, where a panel's rounding is near it.
+        sig = _structured_signal("box", n, 7, True)
+        report = _converged(paley_wiener_integral(sig, 10.0, 256, absolute=False))
+        monkeypatch.setattr(zeroset, "PANEL_TOL", 1e-12)
+        reference = _converged(paley_wiener_integral(sig, 10.0, 2**14, absolute=False))
+        assert reference.error_estimate <= 1e-13
+        assert abs(report.value - reference.value) <= 1e-10
+        assert abs(report.value - reference.value) <= report.error_estimate
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_a_zero_edge_off_by_less_than_the_merge_tolerance_converges(
+        self, monkeypatch, balanced_signal, absolute
+    ):
+        # The zero is at pi; an edge 5e-12 off leaves a log singularity that
+        # no halving resolves, until its panels are no wider than the merge
+        # tolerance (1e-11 here).  201 panels keep pi off the uniform edges.
+        monkeypatch.setattr(zeroset, "_zeros", lambda sig, window, base: ([math.pi + 5e-12], 0))
+        report = _converged(paley_wiener_integral(balanced_signal, TWO_PI, 201, absolute))
+        exact = 2.0 * CATALAN / math.pi if absolute else -0.5 * math.log(2.0)
+        assert abs(report.value - exact) <= report.error_estimate <= 1e-12
 
     def test_level_cap_hit_is_reported(self, monkeypatch, incommensurate_five):
         spec = build_spectrum("harmonic", 8, omega=1.0)
@@ -1056,6 +1101,27 @@ class TestPaleyWiener:
         pair = paley_wiener_integrals(incommensurate_five, TWO_PI, [200, 400])
         assert [report.converged for report in pair] == [False, False]
         claim_iii = run_claims(spec, psi)["claim_iii"]
+        assert not claim_iii["paley_wiener_converged"]
+        assert not claim_iii["demonstrated"]
+
+    def test_error_estimate_above_the_stability_tolerance_fails_claim_iii(self, monkeypatch):
+        spec = build_spectrum("harmonic", 8, omega=1.0)
+        psi = random_state(8, 7, in_zero_sum=True)
+        assert run_claims(spec, psi)["claim_iii"]["demonstrated"]
+        integrals = claims.paley_wiener_integrals
+
+        def inflated(*args, **kwargs):
+            reports = integrals(*args, **kwargs)
+            return [
+                dataclasses.replace(r, error_estimate=2.0 * PW_STABILITY_TOL * abs(r.value))
+                for r in reports
+            ]
+
+        monkeypatch.setattr(claims, "paley_wiener_integrals", inflated)
+        claim_iii = run_claims(spec, psi)["claim_iii"]
+        assert claim_iii["paley_wiener_relative_change"] <= PW_STABILITY_TOL
+        value, estimate = claim_iii["paley_wiener_value"], claim_iii["paley_wiener_error_estimate"]
+        assert estimate > PW_STABILITY_TOL * abs(value)
         assert not claim_iii["paley_wiener_converged"]
         assert not claim_iii["demonstrated"]
 
@@ -1124,7 +1190,10 @@ class TestPaleyWiener:
         counts = [m * p for m in layout]
         together = paley_wiener_integrals(sig, window, counts, absolute)
         alone = [paley_wiener_integral(sig, window, count, absolute) for count in counts]
-        bits = [[(r.value.hex(), r.converged) for r in reports] for reports in (together, alone)]
+        bits = [
+            [(r.value.hex(), r.converged, r.error_estimate.hex()) for r in reports]
+            for reports in (together, alone)
+        ]
         assert bits[0] == bits[1]
 
     def test_pair_searches_zeros_once_and_shares_its_panels(self, monkeypatch):

@@ -32,7 +32,7 @@ from .spectral import (
     _frozen,
     coefficient_sum,
 )
-from .zeroset import TrigSignal, _phases, _require_finite_phases, _row_blocks, eval_f
+from .zeroset import TrigSignal, _grid_values, _phases, _require_finite_phases, _row_blocks
 
 HERMITICITY_TOL = 1e-13
 
@@ -280,8 +280,11 @@ def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> Dev
 
     The state must pass the membership test |sum_j c_j| <= MEMBERSHIP_TOL.
     Values above ~10x that tolerance show the subspace is not invariant under
-    evolution: membership at tau=0 is lost at later times.  A tau whose
-    phase tau * omega is not finite raises PhysicsError.
+    evolution: membership at tau=0 is lost at later times.  A uniform grid
+    (np.linspace, shifted or not) is summed as one phase-table product with
+    about 2 sqrt(n) N exponentials, and any other grid by eval_f; the two
+    agree to _scan_rounding over max|tau|.  A tau whose phase tau * omega is
+    not finite raises PhysicsError.
     """
     s0 = abs(coefficient_sum(state))
     if s0 > MEMBERSHIP_TOL:
@@ -293,7 +296,7 @@ def membership_decay(spectrum: EnergySpectrum, state: QuantumState, taus) -> Dev
         raise DimensionError("time grid must be a nonempty vector")
     sig = TrigSignal.from_state(spectrum, state)
     _require_finite_phases(taus, sig.freqs)
-    return DeviationSeries(taus, np.abs(eval_f(sig, taus)))
+    return DeviationSeries(taus, np.abs(_grid_values(sig, taus)))
 
 
 def project_to_zero_sum(state: QuantumState) -> QuantumState:

@@ -9,7 +9,8 @@ with an error estimate, and constructs commensurate (periodic) approximants
 with a guaranteed sup-norm bound.
 
 Zeros and sublevel sets share one lockstep scan -> bracket -> refine engine.
-The scan evaluates f on a uniform grid as one product of two phase tables.
+The scan evaluates f on a uniform grid as one product of two phase tables
+(_uniform_values), as membership_decay and density_at do on theirs.
 One rule turns grid extrema, the window ends counted as one-sided, into
 brackets for zeros, dips and rises alike: _extremum_centres finds the grid
 minima of |f| (or of -|f|), and _beside keeps those next to a cell where the
@@ -245,24 +246,54 @@ def _phase_product(sig: TrigSignal, starts: np.ndarray, offsets: np.ndarray) -> 
     return _products(starts, sig.freqs, sig.amps, _phases(sig.freqs, offsets))
 
 
+def _uniform_values(sig: TrigSignal, start: float, step: float, count: int) -> np.ndarray:
+    """f(start + k step) for k < count, as one _phase_product.
+
+    With k = q b + r and b = isqrt(count - 1) + 1, e^{-i omega t_k} factors
+    into e^{-i omega (start + q b step)} e^{-i omega r step}: ceil(count / b)
+    starts and b offsets, about 2 sqrt(count) N exponentials where eval_f
+    takes count N.  Its error is bounded by _scan_rounding over max|t_k|.
+    """
+    b = math.isqrt(count - 1) + 1
+    starts = start + np.arange(-(-count // b)) * (b * step)
+    return _phase_product(sig, starts, np.arange(b) * step).ravel()[:count]
+
+
+def _uniform_step(t: np.ndarray) -> float | None:
+    """The step h of a uniform time grid t, or None when t is not one.
+
+    t is uniform when it is 1-D with at least two points and every t_k lies
+    within 4 ulps of max|t| of t_0 + k h, h = (t_{n-1} - t_0) / (n - 1).
+    np.linspace grids are, and so is linspace - tau unless the shift cancels
+    leading digits of t; the grid is then summed by eval_f.
+    """
+    if t.ndim != 1 or t.size < 2:
+        return None
+    h = (t[-1] - t[0]) / (t.size - 1)
+    ulps = 4.0 * np.spacing(max(abs(t[0]), abs(t[-1])))
+    return float(h) if np.all(np.abs(t - (t[0] + np.arange(t.size) * h)) <= ulps) else None
+
+
+def _grid_values(sig: TrigSignal, t: np.ndarray):
+    """f on the times t: _uniform_values on a uniform grid (_uniform_step), else eval_f."""
+    h = _uniform_step(t)
+    return eval_f(sig, t) if h is None else _uniform_values(sig, float(t[0]), h, t.size)
+
+
 def _scan(sig: TrigSignal, window: float, base_grid: int):
     """Grid over [0, window], complex f on it, and the chord screen.
 
-    With t_k = (q*b + r) h and b about sqrt(n), e^{-i omega t_k} factors into
-    e^{-i omega q b h} e^{-i omega r h}, so the grid is one _phase_product with
-    about sqrt(n) starts and offsets, at O(sqrt(n) N) exponentials.  On a
-    cell, |f| is at least the distance from 0 to the chord [f_k, f_{k+1}]
-    minus the screen: the linear interpolation error of f is at most
-    sum|c_j| omega_j^2 h^2 / 8, because its Peano kernel has one sign (so the
-    bound holds for complex f), plus a rounding term that covers the error of
-    this product and of eval_f.
+    f on the n + 1 nodes is _uniform_values from 0.0, at O(sqrt(n) N)
+    exponentials.  On a cell, |f| is at least the distance from 0 to the
+    chord [f_k, f_{k+1}] minus the screen: the linear interpolation error of
+    f is at most sum|c_j| omega_j^2 h^2 / 8, because its Peano kernel has one
+    sign (so the bound holds for complex f), plus a rounding term that covers
+    the error of this product and of eval_f.
     """
     window = float(window)
     n = _cell_count(sig, window, base_grid)
     h = window / n
-    b = math.isqrt(n) + 1
-    rows = -(-(n + 1) // b)
-    values = _phase_product(sig, np.arange(rows) * (b * h), np.arange(b) * h).ravel()[: n + 1]
+    values = _uniform_values(sig, 0.0, h, n + 1)
     curvature = float(np.abs(sig.amps) @ sig.freqs**2) * h * h / 8.0
     return np.linspace(0.0, window, n + 1), values, curvature + _scan_rounding(sig, window)
 

@@ -95,6 +95,17 @@ class TestCovariance:
             grid = np.linspace(-5.0, 5.0, 1000)
             assert verify_covariance(spec, psi, tau, grid) <= 1e-11
 
+    # Claim (i)'s grid and shift (timeobs claims --grid 512).  Box N = 64 reads
+    # up to 5.6e-12; box N >= 128 exceeds 1e-11, as its phases reach 1.6e5 rad.
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    @pytest.mark.parametrize(
+        "kind, n", [("harmonic", 64), ("harmonic", 256), ("box", 16), ("box", 64)]
+    )
+    def test_identity_at_the_claims_grid(self, kind, n, seed):
+        spec = build_spectrum(kind, n)
+        psi = random_state(n, seed, in_zero_sum=True)
+        assert verify_covariance(spec, psi, 5.0, np.linspace(0.0, 10.0, 512)) <= 1e-11
+
     def test_eight_level_example(self):
         spec = build_spectrum("box", 8, scale=0.5)
         psi = random_state(8, 17)

@@ -387,7 +387,7 @@ class TestDeterminism:
                 None,
                 ["--seed", "7", "--grid", "256"],
                 {
-                    "claims.json": "9e059cacc00fb8877cd80e5cee87216586dcea9b44024aa91dbcd0a2489fcf34",
+                    "claims.json": "b1d03cc55f9a371180782be64bc87fcdd9843d1f7734efb606561b915409228e",
                     "measure_scaling.csv": "1efc5b6088faafc01b3cfdbaf1367de4293d1bcdfd9bc25bc08c16ccd1e1b194",
                     "paley_wiener.json": "7516beac8a03469f7543d1fcaf5f16d1db4681fae8615114a8127b4b082f77f5",
                 },
@@ -396,7 +396,7 @@ class TestDeterminism:
                 build_spectrum("box", 16),
                 ["--grid", "512"],
                 {
-                    "claims.json": "0171a3c98783ecbc64d26687e49e14c678b3d845292a81a58a8406cbfd605e6b",
+                    "claims.json": "8b7137a3bbf1f6b5aa6676840db641fa9733234e682afcc9faecbea638489182",
                     "measure_scaling.csv": "60f23c55f5436ad5f92a7848953c36436c51fe158410c95343968e1464c4d03b",
                     "paley_wiener.json": "7e0df7c880335e65e8188f2ffd324ce312ca6dd568792de6f0927c3f9a4386ad",
                 },
@@ -406,9 +406,11 @@ class TestDeterminism:
     )
     def test_claims_and_zeroset_bytes_are_pinned(self, tmp_path, spec, args, digests):
         # sha256 of the artifacts; measure_scaling.csv's from before the
-        # convergence flags moved from warnings into the returned reports, the
-        # other two from when claim (iii) moved to the signed mean log|f| with
-        # its error estimate.  The default problem is harmonic N = 8.
+        # convergence flags moved from warnings into the returned reports,
+        # paley_wiener.json's from when claim (iii) moved to the signed mean
+        # log|f| with its error estimate, and claims.json's from when the
+        # uniform grids of claims (i) and (ii) became one phase-table product.
+        # The default problem is harmonic N = 8.
         # claims.json holds spectral_norm, which comes from LAPACK's eigvalsh,
         # so its digest is tied to that build.
         argv = [*args]
@@ -462,8 +464,8 @@ class TestDeterminism:
             (
                 ["canonical", "--seed", "7"],
                 {
-                    "density.csv": "e82bea6f079ecf63ebfe356735ab1922e74b2229306db9012058052ccc555942",
-                    "covariance.json": "ae5bbc8957ed7becbaa1816ac7d0b035efa98482b155732740f196eb3b00bb9b",
+                    "density.csv": "cef6ccd9574b5469c1191aff270eabc6af9d9d7fbb602c2eb41202be60add6f7",
+                    "covariance.json": "73fd6dd0bcff58d7bf32c070f60fa728270b71deb50e9d40276d3ca6cf830b23",
                 },
             ),
             (
@@ -474,8 +476,10 @@ class TestDeterminism:
         ids=["canonical", "cauchy"],
     )
     def test_canonical_and_cauchy_bytes_are_pinned(self, tmp_path, argv, digests):
-        # sha256 of the artifacts before the unused tolerance and partial-sum
-        # parameters were deleted; the default problem is harmonic N = 8.
+        # sha256 of the artifacts: canonical's from when density_at began to
+        # sum a uniform grid as one phase-table product, cauchy's from before
+        # the unused tolerance and partial-sum parameters were deleted.  The
+        # default problem is harmonic N = 8.
         out = tmp_path / "out"
         assert main([*argv, "-o", str(out)]) == EXIT_OK
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}

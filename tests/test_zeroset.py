@@ -25,6 +25,7 @@ from timeobs import (
     eval_f,
     evolve,
     find_zeros,
+    membership_decay,
     paley_wiener_integral,
     paley_wiener_integrals,
     periodic_approximation,
@@ -390,6 +391,68 @@ class TestPhaseProduct:
         alone = _phase_product(sig, start, offsets)
         pair = _phase_product(sig, np.repeat(start, 2), offsets)
         np.testing.assert_array_equal(alone[0].view(np.int64), pair[0].view(np.int64))
+
+
+UNIFORM_GRIDS = {
+    "0-10x512": (0.0, 10.0, 512),
+    "-5-5x512": (-5.0, 5.0, 512),
+    "0-100x1000": (0.0, 100.0, 1000),
+}
+
+
+def _density_and_signal(spec, state):
+    """The canonical density of a state and the signal whose |f|^2 / gamma it is."""
+    density = CanonicalDensity.from_state(spec, state)
+    return density, TrigSignal(spec.frequencies(), np.conj(density.amplitudes))
+
+
+class TestUniformGrid:
+    """membership_decay and density_at sum a uniform grid as one _phase_product."""
+
+    @pytest.mark.parametrize("grid", list(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    @pytest.mark.parametrize("kind, n", [(k, n) for k in ("harmonic", "box") for n in (8, 64, 256)])
+    def test_matches_eval_f_within_rounding(self, kind, n, seed, grid):
+        spec = build_spectrum(kind, n)
+        state = random_state(n, seed, in_zero_sum=True)
+        t = np.linspace(*UNIFORM_GRIDS[grid])
+        assert zeroset._uniform_step(t) is not None
+        sig = TrigSignal.from_state(spec, state)
+        rounding = _scan_rounding(sig, np.max(np.abs(t)))
+        decay = membership_decay(spec, state, t).values
+        assert np.max(np.abs(decay - np.abs(eval_f(sig, t)))) <= rounding
+        # ||f|^2 - |g|^2| <= (|f| + |g|) |f - g| <= 2 sum|c_j| |f - g|.
+        density, conj = _density_and_signal(spec, state)
+        direct = np.abs(eval_f(conj, t)) ** 2 / density.gamma
+        bound = 2.0 * conj.weight() * rounding / density.gamma
+        assert np.max(np.abs(density_at(density, t) - direct)) <= bound
+
+    def test_shifted_linspace_is_uniform(self):
+        t = np.linspace(0.0, 10.0, 512)
+        assert zeroset._uniform_step(t - 5.0) is not None
+        assert zeroset._uniform_step(t[::-1]) is not None
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.array([0.0]), np.array(3.0), np.linspace(0.0, 1.0, 12).reshape(3, 4)],
+        ids=["one-point", "scalar", "2-D"],
+    )
+    def test_short_or_shaped_grids_are_not_uniform(self, t):
+        assert zeroset._uniform_step(t) is None
+
+    @pytest.mark.parametrize("kind, n", [("harmonic", 64), ("box", 16)])
+    def test_a_moved_node_takes_eval_f(self, kind, n):
+        spec = build_spectrum(kind, n)
+        state = random_state(n, 7, in_zero_sum=True)
+        t = np.linspace(0.0, 10.0, 512)
+        t[200] += 1e-6
+        assert zeroset._uniform_step(t) is None
+        sig = TrigSignal.from_state(spec, state)
+        decay = membership_decay(spec, state, t).values
+        np.testing.assert_array_equal(decay.view(np.int64), np.abs(eval_f(sig, t)).view(np.int64))
+        density, conj = _density_and_signal(spec, state)
+        direct = np.abs(eval_f(conj, t)) ** 2 / density.gamma
+        np.testing.assert_array_equal(density_at(density, t).view(np.int64), direct.view(np.int64))
 
 
 class TestSublevelMeasure:

@@ -118,8 +118,9 @@ def claim_iii(spectrum, state, grid, tau_max, epsilons) -> tuple[dict, list]:
     in descending order and then the tail threshold 1e-6 sum|c_j|, in one
     sublevel_measures call.  The mean log|f| (absolute=False, which has no
     kinks where |f| = 1) is taken at grid // 4 (at least 100) panels and at
-    twice that, in one paley_wiener_integrals call that shares the pair's
-    zero search and common panels; it is stable when the relative change
+    twice that, in one paley_wiener_integrals call: both counts take their
+    panel edges from one zero search, which does not depend on the grid, and
+    share their common panels.  It is stable when the relative change
     between the two and the finer one's error_estimate relative to its value
     are both within PW_STABILITY_TOL and both integrals converged.  Returns
     the claim record and the MeasureReport of each of the distinct epsilons.

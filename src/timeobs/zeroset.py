@@ -27,8 +27,8 @@ the zeros as panel edges and each zero's log singularity integrated in
 closed form, and a panel's tolerance is its share of the window.  Its nodes
 share the scan's phase-table product: the panels of one width sample f at
 the same offsets from their left ends.  Several panel counts
-(paley_wiener_integrals) share one zero search per scan grid, and one loop
-evaluates each distinct panel of their trees once per step.  eval_f
+(paley_wiener_integrals) share one zero search, whatever the counts, and one
+loop evaluates each distinct panel of their trees once per step.  eval_f
 and _phase_product are one kernel (_products) whose row bits do not depend
 on the other rows in its call, so every shared result is bit-equal to a
 call of its own.
@@ -566,20 +566,15 @@ def find_zeros(sig: TrigSignal, window: float, base_grid: int = 4096) -> list[fl
     return zeros
 
 
-def _check_search(sig: TrigSignal, window: float) -> None:
-    """The checks of a zero search: a positive finite window and a nonzero signal."""
-    if not 0.0 < window < math.inf:
-        raise PhysicsError("window must be positive and finite")
-    if sig.weight() == 0.0:
-        raise ZeroSignalError("signal is identically zero")
-
-
 def _zeros(sig: TrigSignal, window: float, base_grid: int):
     """The zeros of find_zeros, without its warning, and the open bracket count.
 
     The count is of extremum brackets still open at the step cap.
     """
-    _check_search(sig, window)
+    if not 0.0 < window < math.inf:
+        raise PhysicsError("window must be positive and finite")
+    if sig.weight() == 0.0:
+        raise ZeroSignalError("signal is identically zero")
     zero_level = 1e-10 * sig.weight()
     ts, fs, screen = _scan(sig, window, base_grid)
     centre = _extremum_centres(np.abs(fs))
@@ -676,9 +671,12 @@ def paley_wiener_integrals(
     """Window-averaged integrals of |log|f|| (log|f| when absolute=False), one per panel count.
 
     For a count p: lockstep adaptive Gauss-Legendre quadrature of order 12
-    over p uniform panels plus the zeros of find_zeros (via _zeros, on
-    max(1000, 4p) base cells) as edges, with each zero's log singularity
-    integrated in closed form.  Each level evaluates every open panel and its
+    over p uniform panels plus the zeros of find_zeros (via _zeros, on 1000
+    base cells, the scan floor of sublevel_measures) as edges, with each
+    zero's log singularity integrated in closed form.  _cell_count raises
+    that grid to 20 points per shortest period, and the chord screen
+    brackets every cell where |f| can reach the zero level, so the floor
+    grid misses no zero.  Each level evaluates every open panel and its
     two halves; a panel [a, b] is accepted, keeping its halves' sum, when
     the two estimates agree to PANEL_TOL (b - a) / window, so the accepted
     tolerances sum to PANEL_TOL over the window, or when it is no wider than
@@ -689,17 +687,16 @@ def paley_wiener_integrals(
     converged when its level cap or its zero search's step cap was hit.
 
     The counts share their work, and each report is bit-equal to a call with
-    its count alone.  Counts whose scans have one cell count share one zero
-    search.  Each count holds its open panels (a, b, zero_a, zero_b), its
-    running total and the halves left open at its last level, and one loop
-    advances every tree: at each step the distinct open panels of the live
-    counts, by their exact bits, go through _panel_rules once, in
+    its count alone.  One zero search serves every count, so the zeros do not
+    depend on the counts.  Each count holds its open panels (a, b, zero_a,
+    zero_b), its running total and the halves left open at its last level, and
+    one loop advances every tree: at each step the distinct open panels of the
+    live counts, by their exact bits, go through _panel_rules once, in
     _PANEL_BLOCK blocks, and each tree accepts or halves its own.  A panel's
     rules do not depend on the other panels in the call (_row_blocks).  A
-    count 2^k times the smallest starts k steps later, so that its panels
-    meet the halves of the coarser tree, and it is live for _MAX_LEVELS
-    steps while it has open panels.  Only the current step's panels are
-    held.
+    count 2^k times the smallest starts k steps later, so that its panels meet
+    the halves of the coarser tree, and it is live for _MAX_LEVELS steps while
+    it has open panels.  Only the current step's panels are held.
 
     The signed mean is the kink-free one.  log|f| <= log sum|c_j|, so the
     absolute mean is finite exactly when the signed mean is above -infinity
@@ -709,21 +706,12 @@ def paley_wiener_integrals(
     panel rows of log|f|.
     """
     counts = [int(p) for p in panel_counts]
-    if any(p < 100 for p in counts):
-        raise DimensionError("panels must be at least 100")
+    if not counts or any(p < 100 for p in counts):
+        raise DimensionError("give at least one panel count, each at least 100")
     window = float(window)
-    _check_search(sig, window)
-    searches = {}  # scan cell count -> (zeros, open bracket count)
-    rows, starts, zeros_open = [], [], []
-    for p in counts:
-        base = max(1000, 4 * p)
-        cells = _cell_count(sig, window, base)
-        if cells not in searches:
-            searches[cells] = _zeros(sig, window, base)
-        zeros, still_open = searches[cells]
-        rows.append(_first_panels(window, p, zeros))
-        starts.append((p // min(counts)).bit_length() - 1)
-        zeros_open.append(still_open)
+    zeros, still_open = _zeros(sig, window, 1000)
+    rows = [_first_panels(window, p, zeros) for p in counts]
+    starts = [(p // min(counts)).bit_length() - 1 for p in counts]
 
     totals, errors = [0.0] * len(counts), [0.0] * len(counts)
     pending = [(np.zeros(0), np.zeros(0))] * len(counts)
@@ -760,8 +748,7 @@ def paley_wiener_integrals(
             still_open == 0 and not tree.size,
             (error + float(np.sum(held_gap))) / window,
         )
-        for total, error, (held, held_gap), tree, still_open
-        in zip(totals, errors, pending, rows, zeros_open)
+        for total, error, (held, held_gap), tree in zip(totals, errors, pending, rows)
     ]
 
 

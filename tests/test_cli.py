@@ -150,9 +150,9 @@ class TestHappyPaths:
         rows = (out / "measure_scaling.csv").read_text().splitlines()[1:]
         assert "false" in [row.split(",")[3] for row in rows]
 
-    def test_zeroset_scans_three_times(self, tmp_path, monkeypatch):
-        # One scan for the whole eps ladder and one zero search in each
-        # Paley-Wiener integral.
+    def test_zeroset_scans_twice(self, tmp_path, monkeypatch):
+        # One scan for the whole eps ladder and one zero search for both
+        # Paley-Wiener integrals.
         scans = []
         scan = zeroset._scan
 
@@ -162,7 +162,7 @@ class TestHappyPaths:
 
         monkeypatch.setattr(zeroset, "_scan", counted)
         assert main(["zeroset", "-o", str(tmp_path / "out"), "--seed", "7"]) == EXIT_OK
-        assert len(scans) == 3
+        assert len(scans) == 2
 
     @pytest.mark.parametrize("command, scans", [("tg", 2), ("claims", 1)])
     def test_hermiticity_is_scanned_only_where_it_is_measured(

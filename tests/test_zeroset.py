@@ -687,9 +687,9 @@ class TestSublevelLadder:
         assert not all(r.converged for r in ladder)
         assert all(r.refinement_depth == cap for r in ladder if not r.converged)
 
-    def test_run_claims_scans_three_times(self, monkeypatch):
-        # One ladder scan and one zero search for each Paley-Wiener panel count:
-        # at N = 8 the two counts scan 1000 and 1024 cells.
+    def test_run_claims_scans_twice(self, monkeypatch):
+        # One ladder scan and one zero search that serves both Paley-Wiener
+        # panel counts, whatever their grids.
         scans = []
 
         def counted(*args):
@@ -699,7 +699,7 @@ class TestSublevelLadder:
         monkeypatch.setattr(zeroset, "_scan", counted)
         spec = build_spectrum("harmonic", 8, omega=1.0)
         assert run_claims(spec, random_state(8, 7, in_zero_sum=True))["all_demonstrated"]
-        assert len(scans) == 3
+        assert len(scans) == 2
 
 
 def _scalar_golden(fun, a, b):
@@ -1216,15 +1216,16 @@ class TestPaleyWiener:
             paley_wiener_integral(sig, 1.0, 128)
 
     def test_panel_floor(self, balanced_signal):
-        with pytest.raises(DimensionError):
-            paley_wiener_integral(balanced_signal, 1.0, 50)
-        # Every count is checked before the window and the signal.
+        # Every count, and that there is one, is checked before the window and
+        # the signal.
         zero = TrigSignal(np.array([1.0]), np.array([0.0]))
-        for sig, window in ((balanced_signal, -1.0), (balanced_signal, math.inf), (zero, 1.0)):
+        bad = ((balanced_signal, -1.0), (balanced_signal, math.inf), (zero, 1.0))
+        for sig, window in ((balanced_signal, 1.0), *bad):
             with pytest.raises(DimensionError):
                 paley_wiener_integral(sig, window, 50)
-            with pytest.raises(DimensionError):
-                paley_wiener_integrals(sig, window, [200, 50])
+            for counts in ([200, 50], []):
+                with pytest.raises(DimensionError):
+                    paley_wiener_integrals(sig, window, counts)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -1260,8 +1261,9 @@ class TestPaleyWiener:
         assert bits[0] == bits[1]
 
     def test_pair_searches_zeros_once_and_shares_its_panels(self, monkeypatch):
-        # Harmonic N = 64, window 10: both counts scan 2022 cells, and most halves
-        # of the coarse tree are panels of the fine one.
+        # Harmonic N = 64, window 10: most halves of the coarse tree are panels
+        # of the fine one.  One zero search serves both counts on every
+        # spectrum, N = 8 included.
         sig = _structured_signal("harmonic", 64, 7, True)
         rows, searches = [], []
         zeros, rules = zeroset._zeros, zeroset._panel_rules
@@ -1282,6 +1284,9 @@ class TestPaleyWiener:
         assert pair == alone
         assert len(searches) == 1
         assert sum(rows) <= 0.6 * two_calls
+        searches[:] = []
+        paley_wiener_integrals(_structured_signal("harmonic", 8, 7, True), 10.0, [128, 256])
+        assert len(searches) == 1
 
 
 class TestBohrMean:
